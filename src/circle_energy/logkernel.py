@@ -148,21 +148,26 @@ def log_energy_direct(map_: CircleHomeomorphism, lam: float,
                       resolution: int = 512) -> LogIntegralResult:
     """Direct quadrature of the (iii) integral on a resolution^2 grid.
 
-    The near-diagonal band below floor = 2^-(J+1), J = round(log2(resolution)),
-    is excluded; its layer-cake estimate (sublevel terms against Lambda-band
-    weights) is reported separately as `excluded_band_bound`.  A non-finite
-    total is returned as divergence evidence rather than raised.
+    The diagonal cells are excluded: their angular gaps reach 2 pi/resolution,
+    i.e. chordal distances up to t0 = 2 sin(pi/resolution), which is also the
+    nearest off-diagonal distance of the grid.  The layer-cake bound of the
+    region below t0 is reported separately as `excluded_band_bound`: the
+    boundary term sublevel(t0) |log t0|^(lambda+1), the partial band from t0
+    down to the next power of two, then the dyadic bands, each band weighted
+    by the sublevel integral at its upper end.  A non-finite total is
+    returned as divergence evidence rather than raised.
     """
     _check_lambda(lam)
     _check_resolution(resolution)
-    j_floor = int(round(math.log2(resolution)))
-    floor = 2.0 ** -(j_floor + 1)
-    part_one, part_two = _grid_parts(map_, lam, resolution, floor)
+    t0 = 2.0 * math.sin(math.pi / resolution)
+    # any floor in (0, t0) drops exactly the diagonal cells
+    part_one, part_two = _grid_parts(map_, lam, resolution, 0.5 * t0)
 
-    # error bar: boundary term + dyadic tail of the layer cake below `floor`
-    tail = [sublevel_integral(map_, floor, resolution)
-            * abs(math.log(floor)) ** (lam + 1.0)]
-    for j in range(j_floor + 1, j_floor + 45):
+    at_t0 = sublevel_integral(map_, t0, resolution)
+    k = math.ceil(-math.log2(t0))
+    tail = [at_t0 * abs(math.log(t0)) ** (lam + 1.0),
+            at_t0 * interval_weight(2.0 ** -k, t0, lam)]
+    for j in range(k, k + 44):
         tail.append(sublevel_integral(map_, 2.0 ** -j, resolution) * band_weight(j, lam))
     return LogIntegralResult(
         lam=lam, part_one=part_one, part_two=part_two,

@@ -9,6 +9,27 @@ derivative is the conjugate kernel conj(zeta)/(zbar - conj(zeta))^2, applied
 to the *unconjugated* boundary values.  Both are validated against central
 finite differences of `extend`.
 
+Two evaluators compute the same midpoint-rule derivatives.  Points off the
+Whitney grid (`derivative`, `dump_derivative_raster`,
+`orlicz.field_from_extension`) go through `_derivative_batch`, a direct
+O(N_b) kernel sum per point that the tests also use as the oracle.  The
+Whitney field goes through a spectral ring evaluation: the midpoint nodes
+are the roots of zeta^N = -1 (N = N_b), so for psi = phi the z-derivative is
+the power series sum_n (n+1) b_n z^n with anti-periodic coefficients
+b_{n+N} = -b_n, b_q = e^{-i pi q/N} FFT(psi zeta^-1 / N)[q], and summing the
+periods in closed form gives, with w = z^N,
+
+    h_z = A/(1+w) - N w B/(1+w)^2,   A = sum_{q<N} (q+1) b_q z^q,
+                                      B = sum_{q<N} b_q z^q.
+
+h_zbar is the conjugate of the same expression built from psi = conj(phi).
+The z^N term is the aliasing term of the periodic trapezoidal rule
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56, 2014).  The 2^j nodes of a Whitney ring at one Gauss radius
+and Gauss angle are z0 * omega^m with omega = e^{2 pi i/2^j}, so folding
+b_q z0^q modulo 2^j turns A and B on the whole ring into one 2^j-point
+inverse FFT each.
+
 Energies (i) and (ii) integrate Phi(|Dh|) over Whitney cells with tensor
 Gauss-Legendre quadrature in polar coordinates, |Dh| = |h_z| + |h_zbar|
 (the single norm convention used everywhere in this package).
@@ -132,7 +153,12 @@ class HarmonicExtension:
     # -- Whitney-grid derivative field ------------------------------------
 
     def _whitney_field(self, J: int) -> dict:
-        """Gauss nodes, polar weights and |Dh| on all cells with level <= J."""
+        """Gauss nodes, polar weights and |Dh| on all cells with level <= J.
+
+        Each level is evaluated ring by ring with the spectral formula of
+        the module docstring (`_ring_derivatives`), which equals the direct
+        kernel sum of `_derivative_batch` at the same nodes up to rounding.
+        """
         if not isinstance(J, int) or J < 1:
             raise DomainError(f"J must be a positive integer, got {J!r}")
         if J > MAX_WHITNEY_J:
@@ -145,7 +171,8 @@ class HarmonicExtension:
             return self._field_cache[min(deeper)]
 
         gx, gw = np.polynomial.legendre.leggauss(self.gauss_order)
-        levels = []
+        coeffs = self._ring_coefficients()
+        levels, norms = [], []
         for j in range(1, J + 1):
             c0 = whitney_cell(j, 1)
             r = 0.5 * (c0.r_outer + c0.r_inner) + 0.5 * (c0.r_outer - c0.r_inner) * gx
@@ -159,10 +186,10 @@ class HarmonicExtension:
             z = r[None, :] * np.exp(1j * theta)[:, None]
             w = (np.tile(wt, 2 ** j)[:, None] * (wr * r)[None, :]).ravel()
             levels.append((j, z.ravel(), w))
+            norms.append(operator_norm(*self._ring_derivatives(coeffs, j, r, t0)).ravel())
 
         zs = np.concatenate([z for _, z, _ in levels])
-        hz, hzb = self._derivative_batch(zs)
-        field = {"levels": [], "radius": np.abs(zs), "norm": operator_norm(hz, hzb)}
+        field = {"levels": [], "radius": np.abs(zs), "norm": np.concatenate(norms)}
         pos = 0
         for j, z, w in levels:
             field["levels"].append({"j": j, "slice": slice(pos, pos + z.size),
@@ -170,6 +197,35 @@ class HarmonicExtension:
             pos += z.size
         self._field_cache[key] = field
         return field
+
+    def _ring_coefficients(self) -> np.ndarray:
+        """b_q for psi = phi (row 0) and psi = conj(phi) (row 1), q < N_b."""
+        n = self.n_boundary
+        psi = np.stack([self._phi, np.conj(self._phi)]) * np.conj(self._zeta)
+        return np.fft.fft(psi, axis=-1) * (np.exp(-1j * math.pi * np.arange(n) / n) / n)
+
+    def _ring_derivatives(self, coeffs: np.ndarray, j: int, r: np.ndarray,
+                          t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h_z, h_zbar at r_b e^{i(t0_a + 2 pi m/2^j)}, shaped (2^j, len(t0), len(r)).
+
+        One Gauss-angle row at a time, so the working set is O(len(r) N_b).
+        """
+        n, size = self.n_boundary, 2 ** j
+        q = np.arange(n)
+        r_pow = r[:, None] ** q
+        # (omega^m)^N, with the exponent reduced exactly in integers
+        spin = np.exp(2j * math.pi * ((np.arange(size) * n) % size) / size)
+        out = np.empty((2, size, t0.size, r.size), dtype=complex)
+        for a, t in enumerate(t0):
+            z0_pow = r_pow * np.exp(1j * t * q)             # z0^q per Gauss radius
+            w = (r ** n * np.exp(1j * n * t))[:, None] * spin
+            for s in range(2):
+                beta = coeffs[s] * z0_pow
+                big_b = _fold_ifft(beta, size)
+                big_a = _fold_ifft((q + 1) * beta, size)
+                out[s, :, a, :] = (big_a / (1.0 + w)
+                                   - n * w * big_b / (1.0 + w) ** 2).T
+        return out[0], np.conj(out[1])
 
     def _energy(self, condition: str, lam: float, J: int) -> EnergyReport:
         if not lam > -1.0:
@@ -245,3 +301,16 @@ class HarmonicExtension:
                     w.writerow([repr(float(r)), repr(float(t)),
                                 repr(float(abs(hz[idx]))), repr(float(abs(hzb[idx])))])
                     idx += 1
+
+
+def _fold_ifft(x: np.ndarray, size: int) -> np.ndarray:
+    """sum_q x_q e^{2 pi i m q/size} for m < size along the last axis.
+
+    x is folded modulo size first, zero-padded when size does not divide
+    its length (this covers size > length).
+    """
+    pad = -x.shape[-1] % size
+    if pad:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad,), dtype=x.dtype)], axis=-1)
+    folded = x.reshape(x.shape[:-1] + (-1, size)).sum(axis=-2)
+    return np.fft.ifft(folded, axis=-1) * size

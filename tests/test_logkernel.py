@@ -110,6 +110,17 @@ def test_identity_direct_approaches_truth(identity):
         assert math.isfinite(res.excluded_band_bound)
 
 
+def test_direct_error_bar_covers_diagonal_cells(identity):
+    # the excluded diagonal cells reach chordal distance 2 sin(pi/resolution);
+    # the bar must cover the true error without being vacuous (measured
+    # ratios bar/error 1.69-1.93 at these resolutions)
+    for resolution in (256, 512, 1024):
+        for lam, truth in IDENTITY_TRUTH.items():
+            res = log_energy_direct(identity, lam, resolution=resolution)
+            err = abs(res.total - truth)
+            assert err <= res.excluded_band_bound <= 2.5 * err, (resolution, lam)
+
+
 def test_identity_dyadic_surrogate_comparable_to_truth(identity):
     # the layer-cake band surrogate is two-sided comparable, not equal:
     # measured ratios 0.733, 0.844, 1.156 at J = 30

@@ -149,6 +149,19 @@ def test_maximal_field_matches_per_point(spike_field):
     np.testing.assert_allclose(ff, gg, atol=1e-12)
 
 
+def test_maximal_disk_edge_tie():
+    # r = 1.25/8 = 3h on a 48-cell grid: the centers 3 cells right of and
+    # below the probe lie exactly on the disk's edge and count for both
+    # evaluations (23 in-grid centers at this probe next to the left edge)
+    gf = GridField(np.zeros((48, 48)), extent=1.25)
+    gf.values[5, 4] = gf.values[8, 1] = 1.0
+    cs = gf.centers()
+    r = 1.25 * 2.0 ** -3
+    per_point = maximal_on_grid(gf, (float(cs[1]), float(cs[5])), [r])
+    assert per_point == pytest.approx(2.0 / 23.0, rel=1e-12)
+    assert maximal_field(gf, [r])[5, 1] == pytest.approx(per_point, rel=1e-12)
+
+
 def test_maximal_dominates_field(spike_field):
     ff = maximal_field(spike_field, dyadic_radii(1.0, 4))
     assert np.all(ff >= spike_field.values - 1e-12)

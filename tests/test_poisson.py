@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from circle_energy.circle_map import identity_map
+from circle_energy.dyadic import whitney_cell
 from circle_energy.errors import DomainError, ResourceGuardError
 from circle_energy.poisson import (BARRIER, DerivativePair, HarmonicExtension,
                                    operator_norm)
@@ -131,6 +132,49 @@ def test_whitney_field_cache_reused(families):
     fresh = HarmonicExtension(families["mobius_trace"], n_boundary=2 ** 10)
     assert fresh.energy_i(1.0, J=6).total == a6
     assert fresh.energy_i(1.0, J=8).total == a8
+
+
+def _whitney_nodes(J, g):
+    """Field nodes rebuilt from the cell geometry, in the field's layout."""
+    gx, _ = np.polynomial.legendre.leggauss(g)
+    nodes = []
+    for j in range(1, J + 1):
+        c0 = whitney_cell(j, 1)
+        r = 0.5 * (c0.r_outer + c0.r_inner) + 0.5 * (c0.r_outer - c0.r_inner) * gx
+        t0 = math.pi / 2 ** j * (gx + 1.0)
+        theta = (TWO_PI * np.arange(2 ** j) / 2 ** j)[:, None] + t0[None, :]
+        nodes.append((r[None, :] * np.exp(1j * theta.ravel())[:, None]).ravel())
+    return np.concatenate(nodes)
+
+
+# N_b not a power of two; 2^j > N_b at level 9; 2^j dividing N_b
+@pytest.mark.parametrize("n_boundary, J", [(1000, 8), (256, 9), (2 ** 10, 8)])
+def test_spectral_field_matches_direct_sum(families, n_boundary, J):
+    for name in ("identity", "mobius_trace", "power", "log_singular",
+                 "smoothed_cantor", "piecewise_linear"):
+        ext = HarmonicExtension(families[name], n_boundary=n_boundary)
+        field = ext._whitney_field(J)
+        direct = operator_norm(*ext._derivative_batch(_whitney_nodes(J, ext.gauss_order)))
+        np.testing.assert_allclose(field["norm"], direct, rtol=1e-9, atol=0, err_msg=name)
+        oracle = HarmonicExtension(families[name], n_boundary=n_boundary)
+        oracle._field_cache[(J, ext.gauss_order)] = dict(field, norm=direct)
+        for lam in (-0.5, 0.0, 1.0):
+            for cond in ("energy_i", "energy_ii"):
+                got = getattr(ext, cond)(lam, J=J).per_level
+                want = getattr(oracle, cond)(lam, J=J).per_level
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                           err_msg=f"{name} {cond} {lam}")
+
+
+def test_identity_deep_field_oracle(identity):
+    # N_b(1 - |z|) >= 64 at every node of level 12, so the midpoint-rule
+    # aliasing term N_b |z|^N_b is below 1e-20 and |Dh| = 1 to rounding
+    ext = HarmonicExtension(identity, n_boundary=2 ** 18)
+    rep = ext.energy_i(0.0, J=12)
+    assert rep.total == pytest.approx(math.pi * (1.0 - 2.0 ** -12) ** 2, rel=1e-12)
+    norm = ext._whitney_field(12)["norm"]
+    assert norm.size == ext.gauss_order ** 2 * (2 ** 13 - 2)
+    assert np.max(np.abs(norm - 1.0)) < 1e-10
 
 
 # -- guards and diagnostics --------------------------------------------------------
