@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .circle_map import CircleHomeomorphism
 from .energy import classify_sequence, dyadic_energy_iv, dyadic_energy_v, make_report
-from .errors import DomainError, InsufficientDataError, ValidationError
+from .errors import CircleEnergyError, DomainError, InsufficientDataError, ValidationError
 from .logkernel import log_energy_direct, log_energy_dyadic
 from .poisson import HarmonicExtension
 from . import report as report_io
@@ -143,7 +143,9 @@ def _ratio_tables(conds: dict) -> dict:
 
 
 def _verdict(conds: dict) -> str:
-    classes = [e["classification"] for e in conds.values() if e["status"] == "ok"]
+    if any(e["status"] == "failed" for e in conds.values()):
+        return "mixed/flagged"
+    classes = [e["classification"] for e in conds.values()]
     if classes and all(c == "convergent" for c in classes):
         return "all-finite-consistent"
     if classes and all(c == "divergent" for c in classes):
@@ -164,9 +166,10 @@ def analyze(config: AnalysisConfig) -> dict:
 
     def run(task):
         lam, cond = task
+        # float overflow (huge lambda) is numerical; anything else is a bug
         try:
             return task, _compute_condition(cond, mapping, ext, lam, config)
-        except Exception as exc:
+        except (CircleEnergyError, OverflowError) as exc:
             return task, report_io.failed_entry(_MODULE_OF[cond], exc)
 
     if config.threads > 1:
@@ -209,17 +212,7 @@ def sweep(config: AnalysisConfig, lambda_grid=None) -> list[dict]:
     """
     lambdas = config.lambdas if lambda_grid is None else tuple(
         float(v) for v in lambda_grid)
-    for lam in lambdas:
-        if lam <= -1.0:
-            raise ValidationError(
-                f"lambda = {lam} rejected: the exponent range is the open "
-                "interval (-1, inf); the endpoint -1 is excluded")
-    base = analyze(AnalysisConfig(
-        map_spec=config.map_spec, lambdas=lambdas, conditions=config.conditions,
-        j_disk=config.j_disk, j_dyadic=config.j_dyadic,
-        n_boundary=config.n_boundary, gauss_order=config.gauss_order,
-        direct_resolution=config.direct_resolution, seed=config.seed,
-        threads=config.threads))
+    base = analyze(replace(config, lambdas=lambdas, out=None))   # revalidates lambdas
     rows = []
     j_max = max(config.j_disk, config.j_dyadic)
     for lam in lambdas:

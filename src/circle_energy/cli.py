@@ -8,8 +8,8 @@ Subcommands:
   cusp-demo  build the inward-cusp polygon and contrast its chord-arc and
              internal chord-arc constants
 
-Exit codes: 0 success, 1 invalid input or configuration, 2 numerical
-failure, 3 one or more verify checks failed.
+Exit codes: 0 success, 1 invalid input or configuration, 2 numerical failure
+(for analyze: any failed condition, once reported), 3 a verify check failed.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECKS_FAILED = 3
-
-_CONDITION_CHOICES = ("i", "ii", "iii", "iv", "v")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,10 +77,10 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
 
 def _parse_conditions(text: str) -> tuple[str, ...]:
     vals = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    bad = [v for v in vals if v not in _CONDITION_CHOICES]
+    bad = [v for v in vals if v not in analyzer.CONDITIONS]
     if bad:
         raise ValidationError(
-            f"--conditions entries must be among {_CONDITION_CHOICES}, got {bad}")
+            f"--conditions entries must be among {analyzer.CONDITIONS}, got {bad}")
     if not vals:
         raise ValidationError("--conditions list is empty")
     return vals
@@ -141,7 +139,8 @@ def _cmd_analyze(args) -> int:
         for lam_key, block in sorted(doc["results"].items(), key=lambda kv: float(kv[0])):
             print(f"lambda={lam_key}: verdict {block['verdict']}")
         print(f"wrote report.json, levels.csv, ratios.csv under {args.out}")
-    return EXIT_OK
+    conds = [e for block in doc["results"].values() for e in block["conditions"].values()]
+    return EXIT_NUMERICAL if any(e["status"] == "failed" for e in conds) else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:

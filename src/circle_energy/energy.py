@@ -5,9 +5,10 @@ the level weight by log^lambda(e + l * 2**j) inside the sum.  Both admit the
 same split by the indicator chi(j,k) = [l > 2**(-3j/4)], whose chi = 0 part
 is summable with explicit bounds.
 
-Summation is level-major, index-minor through math.fsum (exactly rounded),
-and a report's total is assembled as P1 + P2 of its chi-split so that the
-partition identity holds bit-for-bit.
+The lift is evaluated once per call, at the level-J edges, which hold every
+level's edges bit for bit.  Sums are exact binned integer sums (Neal, arXiv:
+1505.05571) rounded once, half to even, as math.fsum rounds, so they equal its.
+A report's total is P1 + P2 of its chi-split, so the partition identity is exact.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_map import CircleHomeomorphism
-from .errors import DomainError, InsufficientDataError, ResourceGuardError
+from .circle_map import TWO_PI, CircleHomeomorphism
+from .errors import DomainError, InsufficientDataError, NumericalError, ResourceGuardError
 
 MAX_J = 20
+_E_BINS = 2098            # np.frexp exponents of finite doubles: -1073..1024
+_UNIT = 1 << 1126         # exact sums are integers n worth n / _UNIT = n * 2**-1126
 DEFAULT_SLOPE_EPS = 0.05
 
 CONVERGENT = "convergent"
@@ -107,34 +110,70 @@ def make_report(condition: str, lam: float, J: int, levels, per_level,
 # ---------------------------------------------------------------------------
 
 
-def _level_terms(map_: CircleHomeomorphism, lam: float, j: int, condition: str):
-    """(terms, chi) arrays for one level, level weight included."""
-    lengths = map_.level_image_lengths(j)
-    sq = lengths * lengths
-    if condition == "iv":
-        terms = float(j) ** lam * sq
-    elif condition == "v":
-        terms = sq * np.log(math.e + lengths * 2.0 ** j) ** lam
-    else:
+def _exact_split_sums(terms: np.ndarray, chi: np.ndarray) -> tuple[int, int]:
+    """Exact sums of terms[~chi] and terms[chi], as integers in units of 2**-1126.
+
+    np.frexp gives f * 2**e with 0.5 <= |f| < 1; the integer f * 2**53 is cut into
+    hi * 2**26 + lo with |hi| <= 2**27 and 0 <= lo < 2**26.  np.bincount sums the
+    halves per (chi, e) bin, each sum below 2**53 for at most 2**26 terms, hence
+    exact in any order; the bins are then shifted into Python integers.
+    """
+    if terms.size > 2 ** 26:
+        raise ResourceGuardError(f"{terms.size} terms exceed the exact-sum guard 2**26")
+    if not np.all(np.isfinite(terms)):
+        raise NumericalError("non-finite term in a dyadic energy sum")
+    lo, e = np.frexp(terms)
+    lo *= 2.0 ** 27
+    hi = np.floor(lo)
+    lo -= hi
+    lo *= 2.0 ** 26
+    key = chi * np.intp(_E_BINS)
+    key += e
+    key += 1073
+    his = np.bincount(key, weights=hi, minlength=2 * _E_BINS)
+    los = np.bincount(key, weights=lo, minlength=2 * _E_BINS)
+    parts = [0, 0]
+    for b in np.flatnonzero((his != 0) | (los != 0)).tolist():
+        c, k = divmod(b, _E_BINS)
+        parts[c] += ((int(his[b]) << 26) + int(los[b])) << k
+    return parts[0], parts[1]
+
+
+def _level_sums(map_: CircleHomeomorphism, lam: float, J: int,
+                condition: str) -> list[tuple[int, int]]:
+    """Exact (chi = 0, chi = 1) sums of each level's terms, level weight included."""
+    _check_args(lam, J)
+    if condition not in ("iv", "v"):
         raise DomainError(f"unknown dyadic condition {condition!r}")
-    chi = lengths > 2.0 ** (-0.75 * j)
-    return terms, chi
+    edges = TWO_PI * np.arange(2 ** J + 1) / 2 ** J
+    edges[-1] = TWO_PI
+    lift = map_.lift_values(edges)
+    sums = []
+    for j in range(1, J + 1):
+        lengths = np.diff(lift[::2 ** (J - j)])
+        terms = lengths * lengths
+        if condition == "iv":
+            terms *= float(j) ** lam
+        else:
+            terms *= np.log(math.e + lengths * 2.0 ** j) ** lam
+        sums.append(_exact_split_sums(terms, lengths > 2.0 ** (-0.75 * j)))
+    return sums
+
+
+def _rounded(*exact: int) -> tuple[float, ...]:
+    # int / int rounds once, to nearest with ties to even, as math.fsum does
+    return tuple(n / _UNIT for n in exact)
+
+
+def _split(sums: list[tuple[int, int]]) -> tuple[float, float]:
+    return _rounded(sum(s[1] for s in sums), sum(s[0] for s in sums))
 
 
 def _dyadic_report(map_: CircleHomeomorphism, lam: float, J: int,
                    condition: str) -> EnergyReport:
-    _check_args(lam, J)
-    levels = list(range(1, J + 1))
-    per_level = []
-    p1_terms: list[float] = []
-    p2_terms: list[float] = []
-    for j in levels:
-        terms, chi = _level_terms(map_, lam, j, condition)
-        per_level.append(math.fsum(terms))
-        p1_terms.extend(terms[chi])
-        p2_terms.extend(terms[~chi])
-    total = math.fsum(p1_terms) + math.fsum(p2_terms)
-    return make_report(condition, lam, J, levels, per_level, total=total)
+    sums = _level_sums(map_, lam, J, condition)
+    return make_report(condition, lam, J, range(1, J + 1),
+                       _rounded(*(n0 + n1 for n0, n1 in sums)), total=sum(_split(sums)))
 
 
 def dyadic_energy_iv(map_: CircleHomeomorphism, lam: float, J: int) -> EnergyReport:
@@ -151,19 +190,13 @@ def comparability_split(map_: CircleHomeomorphism, lam: float, J: int,
                         condition: str = "iv") -> tuple[float, float]:
     """(P1, P2): the chi = 1 and chi = 0 parts of the (iv) or (v) sum.
 
-    P1 + P2 reproduces the matching report's total exactly (same fsum order).
+    Each part is its exact sum rounded once, and the matching report's total
+    is P1 + P2 of these same two floats, so the identity holds exactly.
     The chi = 0 part is controlled explicitly: every such term has
     l <= 2**(-3j/4), so P2 <= sum_j j^lambda 2**(-j/2) for (iv) and, for
     lambda <= 0, P2' <= sum_j 2**(-j/2) for (v).
     """
-    _check_args(lam, J)
-    p1_terms: list[float] = []
-    p2_terms: list[float] = []
-    for j in range(1, J + 1):
-        terms, chi = _level_terms(map_, lam, j, condition)
-        p1_terms.extend(terms[chi])
-        p2_terms.extend(terms[~chi])
-    return math.fsum(p1_terms), math.fsum(p2_terms)
+    return _split(_level_sums(map_, lam, J, condition))
 
 
 def chi_bound(lam: float, J: int, condition: str = "iv") -> float:

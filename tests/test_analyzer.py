@@ -118,6 +118,37 @@ def test_failed_condition_recorded_not_raised():
     assert doc["results"]["0.0"]["verdict"] == "mixed/flagged"
 
 
+def test_failed_conditions_never_give_a_consistent_verdict():
+    # (iii) converges at J=24, but (iv) and (v) stop at their level guard
+    doc = analyze(quick_config(lambdas=(0.0,), conditions=("iii", "iv", "v"),
+                               j_dyadic=24))
+    block = doc["results"]["0.0"]
+    assert block["conditions"]["iii"]["classification"] == "convergent"
+    for cond in ("iv", "v"):
+        assert block["conditions"][cond]["status"] == "failed"
+        assert "exceeds guard" in block["conditions"][cond]["error"]
+    assert block["verdict"] == "mixed/flagged"
+
+
+def test_float_overflow_is_a_failed_entry():
+    # j^lambda and log^(lambda+1) overflow Python floats at lambda = 1000
+    doc = analyze(quick_config(lambdas=(1000.0,), conditions=("iii", "iv", "v")))
+    block = doc["results"]["1000.0"]
+    assert {e["status"] for e in block["conditions"].values()} == {"failed"}
+    assert block["verdict"] == "mixed/flagged"
+
+
+def test_programming_errors_propagate(monkeypatch):
+    import circle_energy.analyzer as analyzer_mod
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(analyzer_mod, "dyadic_energy_iv", broken)
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        analyze(quick_config(lambdas=(0.0,), conditions=("iv",)))
+
+
 def test_analyze_writes_deterministic_files(tmp_path):
     doc_a = analyze(quick_config(lambdas=(0.5,), out=str(tmp_path / "a")))
     doc_b = analyze(quick_config(lambdas=(0.5,), out=str(tmp_path / "b")))

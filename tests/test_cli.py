@@ -33,6 +33,17 @@ def test_analyze_out_dir(tmp_path, capsys):
     assert (tmp_path / "ratios.csv").is_file()
 
 
+def test_analyze_exits_2_after_reporting_failed_conditions(tmp_path, capsys):
+    args = ["analyze", "--map", "identity", "--lambda", "0", "--levels", "24",
+            "--conditions", "iv"]
+    assert main(args) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["0.0"]["conditions"]["iv"]["status"] == "failed"
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    assert "verdict mixed/flagged" in capsys.readouterr().out
+    assert (tmp_path / "report.json").is_file()
+
+
 def test_negative_lambda_value_in_space_separated_form(capsys):
     # "-0.5,0" must parse as the flag's value, not as an unknown option
     code = main(["analyze", "--map", "identity", "--lambda", "-0.5,0",

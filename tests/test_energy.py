@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from circle_energy.circle_map import catalog
-from circle_energy.energy import (EnergyReport, chi_bound, classify_convergence,
-                                  classify_sequence, comparability_split,
-                                  dyadic_energy_iv, dyadic_energy_v,
-                                  make_report)
+from circle_energy.energy import (EnergyReport, _exact_split_sums, _rounded, chi_bound,
+                                  classify_convergence, classify_sequence,
+                                  comparability_split, dyadic_energy_iv,
+                                  dyadic_energy_v, make_report)
 from circle_energy.errors import (DomainError, InsufficientDataError,
-                                  ResourceGuardError)
+                                  NumericalError, ResourceGuardError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,6 +118,9 @@ def test_split_reconstructs_total(families):
             rep = dyadic_energy_iv(m, lam, 12)
             assert p1 + p2 == rep.total, (name, lam)  # bit-exact by construction
             assert p2 >= 0.0
+    # and at the level guard, where one lift serves all 20 levels
+    p1, p2 = comparability_split(families["mobius_trace"], 1.0, 20)
+    assert p1 + p2 == dyadic_energy_iv(families["mobius_trace"], 1.0, 20).total
 
 
 def test_split_thin_part_bounded(families):
@@ -139,6 +142,67 @@ def test_chi_bound_closed_form():
 def test_unknown_condition_rejected(identity):
     with pytest.raises(DomainError):
         comparability_split(identity, 0.0, 8, condition="vi")
+
+
+# -- exact summation -----------------------------------------------------------
+
+# nonnegative doubles from the smallest subnormal 2^-1074 up to about 2^300:
+# integer mantissas below 2^53 scaled by a power of two, plus plain draws
+_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.integers(0, 2 ** 53 - 1), st.integers(-1074, 247)),
+    st.floats(min_value=0.0, max_value=2.0 ** 300, allow_subnormal=True))
+
+
+@given(st.lists(st.tuples(_MAGNITUDES, st.booleans()), max_size=40))
+@example([(1.0, False), (2.0 ** -53, False)])                      # tie, to even
+@example([(1.0, True), (2.0 ** -53, True), (2.0 ** -106, True)])   # just above a tie
+@example([(1.0 + 2.0 ** -52, False), (2.0 ** -53, True)])          # tie, up to even
+@example([(5e-324, True)])
+@example([(2.0 ** 300, False)])
+def test_exact_split_sums_equal_fsum_bit_for_bit(pairs):
+    x = np.array([v for v, _ in pairs], dtype=float)
+    chi = np.array([c for _, c in pairs], dtype=bool)
+    n0, n1 = _exact_split_sums(x, chi)
+    assert _rounded(n0 + n1, n0, n1) == (math.fsum(x.tolist()),
+                                         math.fsum(x[~chi].tolist()),
+                                         math.fsum(x[chi].tolist()))
+
+
+def test_exact_split_sums_reject_non_finite_terms(identity):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericalError):
+            _exact_split_sums(np.array([1.0, bad]), np.array([True, False]))
+    # log(e + 2 pi)^1000 overflows to inf in every (v) term
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        dyadic_energy_v(identity, 1000.0, 4)
+
+
+def _fsum_reference(m, lam, J, condition):
+    """The per-level lift and math.fsum summation the kernel must reproduce."""
+    per_level, p1_terms, p2_terms = [], [], []
+    for j in range(1, J + 1):
+        lengths = m.level_image_lengths(j)
+        sq = lengths * lengths
+        if condition == "iv":
+            terms = float(j) ** lam * sq
+        else:
+            terms = sq * np.log(math.e + lengths * 2.0 ** j) ** lam
+        chi = lengths > 2.0 ** (-0.75 * j)
+        per_level.append(math.fsum(terms))
+        p1_terms.extend(terms[chi])
+        p2_terms.extend(terms[~chi])
+    return tuple(per_level), math.fsum(p1_terms) + math.fsum(p2_terms)
+
+
+def test_reports_equal_the_fsum_reference(families):
+    for name, m in families.items():
+        for lam in (-0.5, 0.0, 1.0):
+            for cond, fn in (("iv", dyadic_energy_iv), ("v", dyadic_energy_v)):
+                rep = fn(m, lam, 14)
+                per_level, total = _fsum_reference(m, lam, 14, cond)
+                assert rep.per_level == per_level, (name, lam, cond)
+                assert rep.total == total, (name, lam, cond)
 
 
 # -- classification -----------------------------------------------------------
