@@ -4,42 +4,29 @@ The five finiteness conditions are computed by their home modules (poisson
 for (i)/(ii), logkernel for (iii), energy for (iv)/(v)); this module wires
 them together, assembles pairwise ratio tables of the cumulative sums over
 shared truncation levels, and reduces the per-condition classifications to
-a single verdict per lambda.  Results are keyed, so runs are deterministic
-for a fixed config regardless of the thread count.
+a single verdict per lambda.  Each condition's lambda-free work (the
+Whitney field, the (iii) kernel, the (iv)/(v) lift and shared sums) is done
+once for every lambda; a failure of one lambda's entry leaves the others.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .circle_map import CircleHomeomorphism
-from .energy import classify_sequence, dyadic_energy_iv, dyadic_energy_v, make_report
-from .errors import CircleEnergyError, DomainError, InsufficientDataError, ValidationError
-from .logkernel import log_energy_direct, log_energy_dyadic
+from .energy import classify_sequence, dyadic_reports, make_report
+from .errors import CircleEnergyError, InsufficientDataError, ValidationError
+from .logkernel import LogKernel
 from .poisson import HarmonicExtension
 from . import report as report_io
 
 CONDITIONS = ("i", "ii", "iii", "iv", "v")
 _MODULE_OF = {"i": "poisson", "ii": "poisson", "iii": "logkernel",
               "iv": "energy", "v": "energy"}
-THREADS_ENV = "CIRCLE_ENERGY_THREADS"
 DEFAULT_LAMBDAS = (-0.5, 0.0, 1.0, 2.0)
 MIN_CLASSIFY_LEVELS = 6
-
-
-def default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,6 @@ class AnalysisConfig:
     gauss_order: int = 4
     direct_resolution: int = 512
     seed: int = 0
-    threads: int = field(default_factory=default_threads)
     out: str | None = None
 
     def __post_init__(self):
@@ -81,8 +67,6 @@ class AnalysisConfig:
         if not MIN_CLASSIFY_LEVELS <= self.j_dyadic <= 40:
             raise ValidationError(
                 f"j_dyadic must be in [{MIN_CLASSIFY_LEVELS}, 40], got {self.j_dyadic}")
-        if self.threads < 1:
-            raise ValidationError("thread count must be >= 1")
 
     def build_map(self) -> CircleHomeomorphism:
         return CircleHomeomorphism.from_spec(self.map_spec)
@@ -97,32 +81,60 @@ class AnalysisConfig:
             "gauss_order": self.gauss_order,
             "direct_resolution": self.direct_resolution,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
-def _compute_condition(cond: str, mapping, ext, lam: float,
-                       config: AnalysisConfig) -> dict:
-    if cond == "i":
-        return report_io.energy_entry(ext.energy_i(lam, config.j_disk))
-    if cond == "ii":
-        return report_io.energy_entry(ext.energy_ii(lam, config.j_disk))
+_GROUPS = (("i", "ii"), ("iii",), ("iv", "v"))   # conditions sharing lambda-free work
+
+
+def _entry(cond: str, shared, lam: float, config: AnalysisConfig) -> dict:
+    if cond in ("i", "ii"):
+        energy = shared.energy_i if cond == "i" else shared.energy_ii
+        return report_io.energy_entry(energy(lam, config.j_disk))
     if cond == "iii":
-        dy = log_energy_dyadic(mapping, lam, J=config.j_dyadic)
+        dy, direct = shared.dyadic(lam), shared.direct(lam)
         rep = make_report("iii", lam, dy.band_levels[-1], dy.band_levels,
                           dy.band_terms)
-        direct = log_energy_direct(mapping, lam,
-                                   resolution=config.direct_resolution)
         return report_io.energy_entry(
             rep, method="dyadic", resolution=dy.resolution,
             far_pair_part=dy.part_one, dyadic_total=dy.total,
             direct_total=direct.total,
             direct_error_bound=direct.excluded_band_bound)
-    if cond == "iv":
-        return report_io.energy_entry(dyadic_energy_iv(mapping, lam, config.j_dyadic))
-    if cond == "v":
-        return report_io.energy_entry(dyadic_energy_v(mapping, lam, config.j_dyadic))
-    raise DomainError(f"unknown condition {cond!r}")
+    rep = shared[cond, lam]
+    if isinstance(rep, CircleEnergyError):
+        raise rep
+    return report_io.energy_entry(rep)
+
+
+def _group_entries(conds, mapping, ext, config: AnalysisConfig) -> dict:
+    """(condition, lambda) -> entry for one group of conditions.
+
+    The group's lambda-free work (the extension's Whitney field, the (iii)
+    kernel, or the (iv)/(v) reports of one lift) is done once and released on
+    return.  If a guard rejects it, every entry of the group fails with the
+    guard's message; a failure at one lambda leaves the other lambdas' entries.
+    """
+    lams = config.lambdas
+    try:
+        if conds[0] == "iii":
+            shared = LogKernel(mapping, config.j_dyadic,
+                               direct_resolution=config.direct_resolution)
+        elif conds[0] in ("iv", "v"):
+            shared = dyadic_reports(mapping, config.j_dyadic,
+                                    [(c, lam) for c in conds for lam in lams])
+        else:
+            shared = ext
+    except CircleEnergyError as exc:
+        return {(c, lam): report_io.failed_entry(_MODULE_OF[c], exc)
+                for c in conds for lam in lams}
+    entries = {}
+    for cond in conds:
+        for lam in lams:
+            try:
+                entries[cond, lam] = _entry(cond, shared, lam, config)
+            except CircleEnergyError as exc:
+                entries[cond, lam] = report_io.failed_entry(_MODULE_OF[cond], exc)
+    return entries
 
 
 def _ratio_tables(conds: dict) -> dict:
@@ -160,27 +172,16 @@ def analyze(config: AnalysisConfig) -> dict:
     if "i" in config.conditions or "ii" in config.conditions:
         ext = HarmonicExtension(mapping, n_boundary=config.n_boundary,
                                 gauss_order=config.gauss_order)
-        ext._whitney_field(config.j_disk)   # shared read-only cache for workers
+        ext._whitney_field(config.j_disk)   # one field serves every lambda
 
-    tasks = [(lam, cond) for lam in config.lambdas for cond in config.conditions]
-
-    def run(task):
-        lam, cond = task
-        # float overflow (huge lambda) is numerical; anything else is a bug
-        try:
-            return task, _compute_condition(cond, mapping, ext, lam, config)
-        except (CircleEnergyError, OverflowError) as exc:
-            return task, report_io.failed_entry(_MODULE_OF[cond], exc)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            done = dict(pool.map(run, tasks))
-    else:
-        done = dict(map(run, tasks))
-
+    entries = {}
+    for group in _GROUPS:
+        conds = [c for c in group if c in config.conditions]
+        if conds:
+            entries.update(_group_entries(conds, mapping, ext, config))
     results = {}
     for lam in config.lambdas:
-        conds = {cond: done[(lam, cond)] for cond in config.conditions}
+        conds = {cond: entries[cond, lam] for cond in config.conditions}
         results[repr(lam)] = {
             "conditions": conds,
             "ratio_tables": _ratio_tables(conds),
@@ -198,7 +199,7 @@ def analyze(config: AnalysisConfig) -> dict:
     if config.out is not None:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
-        report_io.write_report(doc, out / "report.json")
+        report_io.write_report(doc, out / "report.json", validate=False)
         report_io.write_levels_csv(doc, out / "levels.csv")
         report_io.write_ratios_csv(doc, out / "ratios.csv")
     return doc

@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DyadicArc
 from .errors import ConvergenceError, DomainError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -356,10 +355,6 @@ class CircleHomeomorphism:
         if hi <= TWO_PI:
             return self.eval_lift(hi) - self.eval_lift(lo)
         return (TWO_PI - self.eval_lift(lo)) + self.eval_lift(hi - TWO_PI)
-
-    def image_arc_length(self, arc: DyadicArc) -> float:
-        """Length of phi(Gamma_{j,k}) on the image circle."""
-        return self.eval_lift(arc.theta_right) - self.eval_lift(arc.theta_left)
 
     def level_image_lengths(self, j: int) -> np.ndarray:
         """All 2**j image arc lengths at level j (telescoping differences)."""

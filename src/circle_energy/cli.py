@@ -104,9 +104,6 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                         "(default: 16384)")
     p.add_argument("--gauss-order", type=int, default=4, metavar="N",
                    help="Gauss-Legendre order per Whitney cell axis (default: 4)")
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="worker threads; default from "
-                        f"${analyzer.THREADS_ENV} or 1")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="seed echoed into the report (sampling uses it where "
                         "randomness exists; the conditions themselves are "
@@ -114,7 +111,7 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> analyzer.AnalysisConfig:
-    kwargs = dict(
+    return analyzer.AnalysisConfig(
         map_spec=_load_map_spec(args.map),
         lambdas=_parse_lambdas(args.lambdas),
         conditions=_parse_conditions(args.conditions),
@@ -125,16 +122,13 @@ def _config_from_args(args) -> analyzer.AnalysisConfig:
         seed=args.seed,
         out=getattr(args, "out", None),
     )
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
-    return analyzer.AnalysisConfig(**kwargs)
 
 
 def _cmd_analyze(args) -> int:
     config = _config_from_args(args)
     doc = analyzer.analyze(config)
     if args.out is None:
-        sys.stdout.write(report_io.render_report(doc))
+        sys.stdout.write(report_io.render_report(doc, validate=False))   # analyze validated it
     else:
         for lam_key, block in sorted(doc["results"].items(), key=lambda kv: float(kv[0])):
             print(f"lambda={lam_key}: verdict {block['verdict']}")

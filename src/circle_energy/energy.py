@@ -6,9 +6,10 @@ same split by the indicator chi(j,k) = [l > 2**(-3j/4)], whose chi = 0 part
 is summable with explicit bounds.
 
 The lift is evaluated once per call, at the level-J edges, which hold every
-level's edges bit for bit.  Sums are exact binned integer sums (Neal, arXiv:
-1505.05571) rounded once, half to even, as math.fsum rounds, so they equal its.
-A report's total is P1 + P2 of its chi-split, so the partition identity is exact.
+level's edges bit for bit, and one call serves any number of (condition,
+lambda) tasks.  Sums are exact binned integer sums (Neal, arXiv:1505.05571)
+rounded once, half to even, as math.fsum rounds, so they equal its.  A
+report's total is P1 + P2 of its chi-split, so the partition identity is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_map import TWO_PI, CircleHomeomorphism
-from .errors import DomainError, InsufficientDataError, NumericalError, ResourceGuardError
+from .errors import (DomainError, InsufficientDataError, NumericalError, ResourceGuardError,
+                     checked_pow)
 
 MAX_J = 20
 _E_BINS = 2098            # np.frexp exponents of finite doubles: -1073..1024
@@ -139,25 +141,52 @@ def _exact_split_sums(terms: np.ndarray, chi: np.ndarray) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def _level_sums(map_: CircleHomeomorphism, lam: float, J: int,
-                condition: str) -> list[tuple[int, int]]:
-    """Exact (chi = 0, chi = 1) sums of each level's terms, level weight included."""
-    _check_args(lam, J)
-    if condition not in ("iv", "v"):
-        raise DomainError(f"unknown dyadic condition {condition!r}")
+def _level_sums(map_: CircleHomeomorphism, J: int, tasks) -> dict:
+    """Exact (chi = 0, chi = 1) level sums for every (condition, lambda) task.
+
+    Per level the lengths, chi and log(e + l * 2**j) are formed once; a weight
+    of exactly 1 (lambda = 0) reuses the plain sums of l**2.  A task meeting a
+    non-finite term gets its NumericalError in place of its sums.
+    """
+    for condition, lam in tasks:
+        _check_args(lam, J)
+        if condition not in ("iv", "v"):
+            raise DomainError(f"unknown dyadic condition {condition!r}")
     edges = TWO_PI * np.arange(2 ** J + 1) / 2 ** J
     edges[-1] = TWO_PI
     lift = map_.lift_values(edges)
-    sums = []
+    del edges
+    out = {task: [] for task in tasks}
+    weighted_v = any(c == "v" and lam != 0.0 for c, lam in tasks)
     for j in range(1, J + 1):
         lengths = np.diff(lift[::2 ** (J - j)])
-        terms = lengths * lengths
-        if condition == "iv":
-            terms *= float(j) ** lam
-        else:
-            terms *= np.log(math.e + lengths * 2.0 ** j) ** lam
-        sums.append(_exact_split_sums(terms, lengths > 2.0 ** (-0.75 * j)))
-    return sums
+        if j == J:
+            del lift   # its last use: free it before the largest level's sums
+        chi = lengths > 2.0 ** (-0.75 * j)
+        if weighted_v:
+            logs = np.log(lengths * 2.0 ** j + math.e)
+        sq = np.multiply(lengths, lengths, out=lengths)   # l**2, in the lengths' buffer
+        terms = np.empty_like(sq)
+        plain = None
+        for (condition, lam), sums in out.items():
+            if isinstance(sums, NumericalError):
+                continue
+            try:
+                if lam == 0.0:
+                    if plain is None:
+                        plain = _exact_split_sums(sq, chi)
+                    sums.append(plain)
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if condition == "iv":
+                        np.multiply(sq, checked_pow(float(j), lam), out=terms)
+                    else:
+                        np.power(logs, lam, out=terms)
+                        terms *= sq
+                sums.append(_exact_split_sums(terms, chi))
+            except NumericalError as exc:
+                out[condition, lam] = exc
+    return out
 
 
 def _rounded(*exact: int) -> tuple[float, ...]:
@@ -169,21 +198,33 @@ def _split(sums: list[tuple[int, int]]) -> tuple[float, float]:
     return _rounded(sum(s[1] for s in sums), sum(s[0] for s in sums))
 
 
-def _dyadic_report(map_: CircleHomeomorphism, lam: float, J: int,
-                   condition: str) -> EnergyReport:
-    sums = _level_sums(map_, lam, J, condition)
-    return make_report(condition, lam, J, range(1, J + 1),
-                       _rounded(*(n0 + n1 for n0, n1 in sums)), total=sum(_split(sums)))
+def dyadic_reports(map_: CircleHomeomorphism, J: int, tasks) -> dict:
+    """(iv)/(v) reports of every (condition, lambda) task, from one lift.
+
+    A task whose sum is not finite maps to its NumericalError; argument and
+    level guards raise for the whole call.
+    """
+    return {(c, lam): sums if isinstance(sums, NumericalError) else make_report(
+                c, lam, J, range(1, J + 1), _rounded(*(n0 + n1 for n0, n1 in sums)),
+                total=sum(_split(sums)))
+            for (c, lam), sums in _level_sums(map_, J, tasks).items()}
+
+
+def _only(results: dict):
+    (result,) = results.values()
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def dyadic_energy_iv(map_: CircleHomeomorphism, lam: float, J: int) -> EnergyReport:
     """Truncated sum of j^lambda * sum_k l(phi(Gamma_{j,k}))**2."""
-    return _dyadic_report(map_, lam, J, "iv")
+    return _only(dyadic_reports(map_, J, [("iv", lam)]))
 
 
 def dyadic_energy_v(map_: CircleHomeomorphism, lam: float, J: int) -> EnergyReport:
     """Truncated sum of sum_k l**2 * log^lambda(e + l * 2**j)."""
-    return _dyadic_report(map_, lam, J, "v")
+    return _only(dyadic_reports(map_, J, [("v", lam)]))
 
 
 def comparability_split(map_: CircleHomeomorphism, lam: float, J: int,
@@ -196,7 +237,7 @@ def comparability_split(map_: CircleHomeomorphism, lam: float, J: int,
     l <= 2**(-3j/4), so P2 <= sum_j j^lambda 2**(-j/2) for (iv) and, for
     lambda <= 0, P2' <= sum_j 2**(-j/2) for (v).
     """
-    return _split(_level_sums(map_, lam, J, condition))
+    return _split(_only(_level_sums(map_, J, [(condition, lam)])))
 
 
 def chi_bound(lam: float, J: int, condition: str = "iv") -> float:
@@ -210,8 +251,8 @@ def chi_bound(lam: float, J: int, condition: str = "iv") -> float:
     vals = []
     for j in range(1, J + 1):
         if condition == "iv":
-            vals.append(float(j) ** lam * 2.0 ** (-0.5 * j))
+            vals.append(checked_pow(float(j), lam) * 2.0 ** (-0.5 * j))
         else:
-            extra = math.log(math.e + 2.0 ** (0.25 * j)) ** lam if lam > 0 else 1.0
+            extra = checked_pow(math.log(math.e + 2.0 ** (0.25 * j)), lam) if lam > 0 else 1.0
             vals.append(2.0 ** (-0.5 * j) * extra)
     return math.fsum(vals)

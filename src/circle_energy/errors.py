@@ -31,3 +31,11 @@ class NumericalError(CircleEnergyError, RuntimeError):
 
 class InsufficientDataError(CircleEnergyError, ValueError):
     """Not enough levels/samples to run a diagnostic."""
+
+
+def checked_pow(x: float, y: float) -> float:
+    """x ** y for Python floats, with overflow raised as a NumericalError."""
+    try:
+        return x ** y
+    except OverflowError:
+        raise NumericalError(f"{x!r} ** {y!r} overflows a double") from None

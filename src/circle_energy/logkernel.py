@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_map import TWO_PI, CircleHomeomorphism
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError, checked_pow
 
 MIN_RESOLUTION = 64
 MAX_RESOLUTION = 2048
@@ -58,7 +58,7 @@ def lambda_weight(t: float, lam: float) -> float:
     _check_lambda(lam)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0, 1), got {t}")
-    return (lam + 1.0) * math.log(1.0 / t) ** lam / t
+    return (lam + 1.0) * checked_pow(math.log(1.0 / t), lam) / t
 
 
 def interval_weight(a: float, b: float, lam: float) -> float:
@@ -66,7 +66,8 @@ def interval_weight(a: float, b: float, lam: float) -> float:
     _check_lambda(lam)
     if not 0.0 < a <= b <= 1.0:
         raise DomainError(f"need 0 < a <= b <= 1, got a={a}, b={b}")
-    return math.log(1.0 / a) ** (lam + 1.0) - math.log(1.0 / b) ** (lam + 1.0)
+    return (checked_pow(math.log(1.0 / a), lam + 1.0)
+            - checked_pow(math.log(1.0 / b), lam + 1.0))
 
 
 def band_weight(j: int, lam: float) -> float:
@@ -74,7 +75,7 @@ def band_weight(j: int, lam: float) -> float:
     _check_lambda(lam)
     if j < 1:
         raise DomainError(f"band index must be >= 1, got {j}")
-    return ((j + 1) * LN2) ** (lam + 1.0) - (j * LN2) ** (lam + 1.0)
+    return checked_pow((j + 1) * LN2, lam + 1.0) - checked_pow(j * LN2, lam + 1.0)
 
 
 def sublevel_arc_measure(map_: CircleHomeomorphism, xi_angle: float, t: float) -> float:
@@ -127,21 +128,78 @@ def _check_resolution(resolution: int) -> None:
         raise ResourceGuardError(f"resolution {resolution} exceeds guard {MAX_RESOLUTION}")
 
 
-def _grid_parts(map_: CircleHomeomorphism, lam: float, resolution: int,
-                floor: float) -> tuple[float, float]:
-    """(part_one, part_two) of the 2-D midpoint quadrature, floor-excluded."""
+def _pair_grid(map_: CircleHomeomorphism, resolution: int):
+    """lambda -> (part_one, part_two) of the 2-D midpoint quadrature."""
     mids, weights = _source_grid(map_, resolution)
-    diff = mids[:, None] - mids[None, :]
-    dist = 2.0 * np.abs(np.sin(0.5 * diff))
+    dist = 2.0 * np.abs(np.sin(0.5 * (mids[:, None] - mids[None, :])))
     ww = weights[:, None] * weights[None, :]
-    mask_one = dist >= 1.0
-    mask_two = (dist < 1.0) & (dist >= floor)
     with np.errstate(divide="ignore"):
         logd = np.abs(np.log(np.where(dist > 0.0, dist, 1.0)))
-    integrand = logd ** (lam + 1.0)
-    part_one = float(np.sum((ww * integrand)[mask_one]))
-    part_two = float(np.sum((ww * integrand)[mask_two]))
-    return part_one, part_two
+    far = dist >= 1.0
+    # any floor in (0, t0), t0 = 2 sin(pi/resolution), drops exactly the diagonal cells
+    near = (dist < 1.0) & (dist >= math.sin(math.pi / resolution))
+
+    def parts(lam: float) -> tuple[float, float]:
+        with np.errstate(over="ignore"):
+            weighted = ww * logd ** (lam + 1.0)
+        return float(np.sum(weighted[far])), float(np.sum(weighted[near]))
+    return parts
+
+
+class LogKernel:
+    """The lambda-free parts of (iii) for one map, built once for every lambda.
+
+    With J: the sublevel integrals of the dyadic bands 1..J.  With
+    direct_resolution: those of the direct method's excluded region.  Each
+    pair grid is built once, and once for both methods at equal resolutions.
+    """
+
+    def __init__(self, map_: CircleHomeomorphism, J: int | None = None,
+                 resolution: int = 1024, direct_resolution: int | None = None):
+        self.resolution, self.direct_resolution = resolution, direct_resolution
+        grids = {}
+        if J is not None:
+            _check_resolution(resolution)
+            if not isinstance(J, int) or J < 1:
+                raise DomainError(f"J must be a positive integer, got {J!r}")
+            if J > 40:
+                raise ResourceGuardError(f"J={J} exceeds guard 40")
+            self._bands = [sublevel_integral(map_, 2.0 ** -j, resolution)
+                           for j in range(1, J + 1)]
+            res = min(resolution, 512)
+            self._dyadic_parts = grids[res] = _pair_grid(map_, res)
+        if direct_resolution is not None:
+            _check_resolution(direct_resolution)
+            self._t0 = t0 = 2.0 * math.sin(math.pi / direct_resolution)
+            self._k = k = math.ceil(-math.log2(t0))
+            self._tail = [sublevel_integral(map_, t, direct_resolution)
+                          for t in [t0] + [2.0 ** -j for j in range(k, k + 44)]]
+            self._direct_parts = (grids.get(direct_resolution)
+                                  or _pair_grid(map_, direct_resolution))
+
+    def direct(self, lam: float) -> LogIntegralResult:
+        """log_energy_direct at this lambda."""
+        _check_lambda(lam)
+        part_one, part_two = self._direct_parts(lam)
+        t0, k, (at_t0, *bands) = self._t0, self._k, self._tail
+        tail = [at_t0 * checked_pow(abs(math.log(t0)), lam + 1.0),
+                at_t0 * interval_weight(2.0 ** -k, t0, lam)]
+        tail += [s * band_weight(j, lam) for j, s in enumerate(bands, k)]
+        return LogIntegralResult(
+            lam=lam, part_one=part_one, part_two=part_two,
+            total=part_one + part_two, method="direct",
+            resolution=self.direct_resolution, excluded_band_bound=math.fsum(tail))
+
+    def dyadic(self, lam: float) -> LogIntegralResult:
+        """log_energy_dyadic at this lambda."""
+        _check_lambda(lam)
+        terms = [s * band_weight(j, lam) for j, s in enumerate(self._bands, 1)]
+        part_two = math.fsum(terms)
+        part_one, _ = self._dyadic_parts(lam)
+        return LogIntegralResult(
+            lam=lam, part_one=part_one, part_two=part_two,
+            total=part_one + part_two, method="dyadic", resolution=self.resolution,
+            band_levels=tuple(range(1, len(terms) + 1)), band_terms=tuple(terms))
 
 
 def log_energy_direct(map_: CircleHomeomorphism, lam: float,
@@ -157,22 +215,7 @@ def log_energy_direct(map_: CircleHomeomorphism, lam: float,
     by the sublevel integral at its upper end.  A non-finite total is
     returned as divergence evidence rather than raised.
     """
-    _check_lambda(lam)
-    _check_resolution(resolution)
-    t0 = 2.0 * math.sin(math.pi / resolution)
-    # any floor in (0, t0) drops exactly the diagonal cells
-    part_one, part_two = _grid_parts(map_, lam, resolution, 0.5 * t0)
-
-    at_t0 = sublevel_integral(map_, t0, resolution)
-    k = math.ceil(-math.log2(t0))
-    tail = [at_t0 * abs(math.log(t0)) ** (lam + 1.0),
-            at_t0 * interval_weight(2.0 ** -k, t0, lam)]
-    for j in range(k, k + 44):
-        tail.append(sublevel_integral(map_, 2.0 ** -j, resolution) * band_weight(j, lam))
-    return LogIntegralResult(
-        lam=lam, part_one=part_one, part_two=part_two,
-        total=part_one + part_two, method="direct", resolution=resolution,
-        excluded_band_bound=math.fsum(tail))
+    return LogKernel(map_, direct_resolution=resolution).direct(lam)
 
 
 def log_energy_dyadic(map_: CircleHomeomorphism, lam: float, J: int,
@@ -181,18 +224,4 @@ def log_energy_dyadic(map_: CircleHomeomorphism, lam: float, J: int,
 
     part_two = sum_{j=1..J} [int_S sublevel(xi, 2^-j) |d xi|] * band_weight(j).
     """
-    _check_lambda(lam)
-    _check_resolution(resolution)
-    if not isinstance(J, int) or J < 1:
-        raise DomainError(f"J must be a positive integer, got {J!r}")
-    if J > 40:
-        raise ResourceGuardError(f"J={J} exceeds guard 40")
-    terms = []
-    for j in range(1, J + 1):
-        terms.append(sublevel_integral(map_, 2.0 ** -j, resolution) * band_weight(j, lam))
-    part_two = math.fsum(terms)
-    part_one, _ = _grid_parts(map_, lam, min(resolution, 512), 1.0)
-    return LogIntegralResult(
-        lam=lam, part_one=part_one, part_two=part_two,
-        total=part_one + part_two, method="dyadic", resolution=resolution,
-        band_levels=tuple(range(1, J + 1)), band_terms=tuple(terms))
+    return LogKernel(map_, J, resolution).dyadic(lam)

@@ -58,8 +58,7 @@ def main():
     for name in sorted(catalog()):
         spec = catalog()[name].to_spec()
         result = analyze(AnalysisConfig(map_spec=spec, lambdas=LAMBDAS,
-                                        conditions=CONDITIONS, threads=1,
-                                        **CONFIG))
+                                        conditions=CONDITIONS, **CONFIG))
         per_lambda = {}
         for lam in LAMBDAS:
             conds = result["results"][repr(lam)]["conditions"]
@@ -88,7 +87,7 @@ def main():
 
     deep = analyze(AnalysisConfig(map_spec=DEEP_CANTOR["map_spec"],
                                   lambdas=(DEEP_CANTOR["lam"],),
-                                  conditions=CONDITIONS, threads=1, **CONFIG))
+                                  conditions=CONDITIONS, **CONFIG))
     block = deep["results"][repr(DEEP_CANTOR["lam"])]
     doc["deep_cantor_example"] = {
         "map_spec": DEEP_CANTOR["map_spec"],

@@ -133,7 +133,7 @@ def test_criterion_6_equivalence_windows():
     disagreements = []
     for family, cells in sorted(fixture["families"].items()):
         doc = analyze(AnalysisConfig(map_spec=catalog()[family].to_spec(),
-                                     lambdas=lambdas, threads=1, **cfg))
+                                     lambdas=lambdas, **cfg))
         for lam_key, cell in cells.items():
             conds = doc["results"][lam_key]["conditions"]
             classes = {c: e["classification"] for c, e in conds.items()}
@@ -206,7 +206,7 @@ def test_criterion_9_determinism(tmp_path):
         analyze(AnalysisConfig(
             map_spec={"kind": "mobius_trace", "params": {"a": 0.5}},
             lambdas=(0.0, 1.0), j_disk=6, j_dyadic=8, n_boundary=2 ** 10,
-            threads=1, out=str(tmp_path / sub)))
+            out=str(tmp_path / sub)))
         return {name: (tmp_path / sub / name).read_bytes()
                 for name in ("report.json", "levels.csv", "ratios.csv")}
 

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from circle_energy.analyzer import (CONDITIONS, AnalysisConfig, analyze,
-                                    default_threads, sweep)
+from circle_energy import energy, logkernel, report
+from circle_energy.analyzer import CONDITIONS, AnalysisConfig, analyze, sweep
+from circle_energy.circle_map import CircleHomeomorphism, catalog
 from circle_energy.errors import ValidationError
 
 IDENTITY_SPEC = {"kind": "identity", "params": {},
@@ -13,8 +14,7 @@ IDENTITY_SPEC = {"kind": "identity", "params": {},
 
 def quick_config(**overrides):
     kw = dict(map_spec=IDENTITY_SPEC, lambdas=(0.0, 1.0), j_disk=6,
-              j_dyadic=8, n_boundary=2 ** 10, direct_resolution=128,
-              threads=1)
+              j_dyadic=8, n_boundary=2 ** 10, direct_resolution=128)
     kw.update(overrides)
     return AnalysisConfig(**kw)
 
@@ -48,22 +48,6 @@ def test_level_and_thread_bounds():
         quick_config(j_disk=13)
     with pytest.raises(ValidationError):
         quick_config(j_dyadic=41)
-    with pytest.raises(ValidationError):
-        quick_config(threads=0)
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.delenv("CIRCLE_ENERGY_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("CIRCLE_ENERGY_THREADS", "4")
-    assert default_threads() == 4
-    assert quick_config(threads=None or 4).threads == 4
-    monkeypatch.setenv("CIRCLE_ENERGY_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        default_threads()
-    monkeypatch.setenv("CIRCLE_ENERGY_THREADS", "0")
-    with pytest.raises(ValidationError):
-        default_threads()
 
 
 # -- analyze ----------------------------------------------------------------------------
@@ -144,7 +128,7 @@ def test_programming_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a numerical failure")
 
-    monkeypatch.setattr(analyzer_mod, "dyadic_energy_iv", broken)
+    monkeypatch.setattr(analyzer_mod, "dyadic_reports", broken)
     with pytest.raises(TypeError, match="not a numerical failure"):
         analyze(quick_config(lambdas=(0.0,), conditions=("iv",)))
 
@@ -162,11 +146,59 @@ def test_analyze_writes_deterministic_files(tmp_path):
     assert loaded == doc_a
 
 
-def test_thread_count_does_not_change_results():
-    serial = analyze(quick_config(lambdas=(0.0,), conditions=("iii", "iv", "v")))
-    threaded = analyze(quick_config(lambdas=(0.0,), conditions=("iii", "iv", "v"),
-                                    threads=4))
-    assert serial["results"] == threaded["results"]
+# -- one engine per condition ---------------------------------------------------
+
+ENGINE_LAMBDAS = (-0.5, 0.0, 1.0, 2.0)
+
+
+def _one_lambda_entries(m, lam, J):
+    """The (iii)/(iv)/(v) entries from the one-lambda public functions."""
+    dy = logkernel.log_energy_dyadic(m, lam, J)
+    direct = logkernel.log_energy_direct(m, lam)
+    rep = energy.make_report("iii", lam, dy.band_levels[-1], dy.band_levels,
+                             dy.band_terms)
+    return {
+        "iii": report.energy_entry(
+            rep, method="dyadic", resolution=dy.resolution,
+            far_pair_part=dy.part_one, dyadic_total=dy.total,
+            direct_total=direct.total,
+            direct_error_bound=direct.excluded_band_bound),
+        "iv": report.energy_entry(energy.dyadic_energy_iv(m, lam, J)),
+        "v": report.energy_entry(energy.dyadic_energy_v(m, lam, J)),
+    }
+
+
+def test_analyze_equals_the_one_lambda_functions_bit_for_bit():
+    for name, m in catalog().items():
+        doc = analyze(AnalysisConfig(map_spec=m.to_spec(), lambdas=ENGINE_LAMBDAS,
+                                     conditions=("iii", "iv", "v"), j_dyadic=14))
+        for lam in ENGINE_LAMBDAS:
+            got = doc["results"][repr(lam)]["conditions"]
+            assert got == _one_lambda_entries(m, lam, 14), (name, lam)
+
+
+def test_a_failing_lambda_leaves_the_others():
+    cfg = dict(conditions=("iii", "iv", "v"))
+    both = analyze(quick_config(lambdas=(0.0, 1000.0), **cfg))["results"]
+    alone = analyze(quick_config(lambdas=(0.0,), **cfg))["results"]
+    assert both["0.0"] == alone["0.0"]
+    assert {e["status"] for e in both["0.0"]["conditions"].values()} == {"ok"}
+    assert {e["status"] for e in both["1000.0"]["conditions"].values()} == {"failed"}
+
+
+def test_dyadic_conditions_share_one_lift(monkeypatch):
+    lifted = []
+    original = CircleHomeomorphism.lift_values
+
+    def counting(self, thetas):
+        lifted.append(len(thetas))
+        return original(self, thetas)
+
+    monkeypatch.setattr(CircleHomeomorphism, "lift_values", counting)
+    for lambdas in ((0.0,), ENGINE_LAMBDAS):
+        lifted.clear()
+        analyze(quick_config(lambdas=lambdas, conditions=("iv", "v")))
+        assert lifted == [2 ** 8 + 1], lambdas
 
 
 # -- sweep ------------------------------------------------------------------------------
@@ -202,7 +234,7 @@ def test_deep_cantor_verdict_matches_fixture():
          / "equivalence_windows.json").read_text())
     example = fixture["deep_cantor_example"]
     doc = analyze(AnalysisConfig(map_spec=example["map_spec"],
-                                 lambdas=(example["lam"],), threads=1,
+                                 lambdas=(example["lam"],),
                                  **fixture["meta"]["config"]))
     block = doc["results"][repr(example["lam"])]
     assert block["verdict"] == example["verdict"]

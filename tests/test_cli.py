@@ -147,3 +147,16 @@ def test_cusp_demo(tmp_path, capsys):
 def test_cusp_demo_bad_resolution(capsys):
     assert main(["cusp-demo", "--resolution", "8"]) == 1
     capsys.readouterr()
+
+
+def test_analyze_validates_each_report_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    validate = report.validate_report
+    monkeypatch.setattr(report, "validate_report",
+                        lambda doc: calls.append(doc) or validate(doc))
+    for out in ([], ["--out", str(tmp_path)]):
+        calls.clear()
+        assert main(["analyze", "--map", "identity", *FAST,
+                     "--conditions", "iv,v", *out]) == 0
+        assert len(calls) == 1, out
+    capsys.readouterr()

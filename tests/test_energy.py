@@ -169,13 +169,23 @@ def test_exact_split_sums_equal_fsum_bit_for_bit(pairs):
                                          math.fsum(x[chi].tolist()))
 
 
-def test_exact_split_sums_reject_non_finite_terms(identity):
+def test_exact_split_sums_reject_non_finite_terms():
     for bad in (math.inf, math.nan):
         with pytest.raises(NumericalError):
             _exact_split_sums(np.array([1.0, bad]), np.array([True, False]))
-    # log(e + 2 pi)^1000 overflows to inf in every (v) term
-    with np.errstate(over="ignore"), pytest.raises(NumericalError):
-        dyadic_energy_v(identity, 1000.0, 4)
+
+
+def test_huge_lambda_raises_numerical_error(families):
+    # j^1000 overflows a double at j = 3, and log(e + l 2^j)^1000 overflows
+    # to inf in every (v) term; neither may escape as an OverflowError or warn
+    for m in (families["identity"], families["power"]):
+        for fn in (dyadic_energy_iv, dyadic_energy_v):
+            with pytest.raises(NumericalError):
+                fn(m, 1000.0, 4)
+        with pytest.raises(NumericalError):
+            comparability_split(m, 1000.0, 4)
+        with pytest.raises(NumericalError):
+            chi_bound(1000.0, 4)
 
 
 def _fsum_reference(m, lam, J, condition):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from circle_energy.errors import DomainError, ResourceGuardError
+from circle_energy.errors import DomainError, NumericalError, ResourceGuardError
 from circle_energy.logkernel import (band_weight, interval_weight,
                                      lambda_weight, log_energy_direct,
                                      log_energy_dyadic, sublevel_arc_measure,
@@ -167,3 +167,17 @@ def test_resolution_and_level_guards(identity):
         log_energy_dyadic(identity, 0.0, 41)
     with pytest.raises(DomainError):
         log_energy_dyadic(identity, -1.5, 10)
+
+
+def test_huge_lambda_raises_numerical_error(families):
+    # log^(lambda+1) of the band ends overflows a double at lambda = 1000;
+    # the direct grid's own overflow stays silent divergence evidence
+    for m in (families["identity"], families["power"]):
+        with pytest.raises(NumericalError):
+            log_energy_dyadic(m, 1000.0, 8)
+        with pytest.raises(NumericalError):
+            log_energy_direct(m, 1000.0)
+    with pytest.raises(NumericalError):
+        band_weight(2, 1000.0)
+    with pytest.raises(NumericalError):
+        interval_weight(1e-3, 0.5, 1000.0)

@@ -17,7 +17,7 @@ def doc(identity):
                 "base_point_image_angle": 0.0},
         "config": {"lambdas": [0.0], "conditions": ["iv"], "j_disk": 6,
                    "j_dyadic": 6, "n_boundary": 1024, "gauss_order": 4,
-                   "seed": 0, "threads": 1},
+                   "seed": 0},
         "results": {
             "0.0": {
                 "conditions": {
