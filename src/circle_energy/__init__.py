@@ -7,9 +7,10 @@ checks against each other:
 
   (i)   Orlicz-type disk energy of the harmonic extension,
   (ii)  disk energy weighted by a boundary-distance logarithm,
-  (iii) a double integral of |phi(x) - phi(y)| against a log kernel,
+  (iii) the double integral of |log|phi^-1(xi) - phi^-1(eta)||^(lambda+1)
+        over S x S,
   (iv)  a dyadic sum of squared image arc lengths with weight j^lambda,
-  (v)   the same sum restricted by a comparability cutoff.
+  (v)   the same sum with weight log^lambda(e + l * 2^j) per arc of length l.
 
 Supporting machinery: dyadic/Whitney/annular decompositions of the circle
 and disk, N-function (Orlicz) utilities with a discrete maximal operator,

@@ -15,18 +15,27 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import energy, logkernel, poisson
+from . import report as report_io
 from .circle_map import CircleHomeomorphism
 from .energy import classify_sequence, dyadic_reports, make_report
 from .errors import CircleEnergyError, InsufficientDataError, ValidationError
 from .logkernel import LogKernel
 from .poisson import HarmonicExtension
-from . import report as report_io
 
 CONDITIONS = ("i", "ii", "iii", "iv", "v")
 _MODULE_OF = {"i": "poisson", "ii": "poisson", "iii": "logkernel",
               "iv": "energy", "v": "energy"}
 DEFAULT_LAMBDAS = (-0.5, 0.0, 1.0, 2.0)
 MIN_CLASSIFY_LEVELS = 6
+# field -> (lowest, highest) value the engines accept; j_dyadic feeds (iii)-(v)
+BOUNDS = {
+    "j_disk": (MIN_CLASSIFY_LEVELS, poisson.MAX_WHITNEY_J),
+    "j_dyadic": (MIN_CLASSIFY_LEVELS, min(energy.MAX_J, logkernel.MAX_J)),
+    "n_boundary": poisson.NODES_RANGE,
+    "gauss_order": poisson.GAUSS_RANGE,
+    "direct_resolution": (logkernel.MIN_RESOLUTION, logkernel.MAX_RESOLUTION),
+}
 
 
 @dataclass(frozen=True)
@@ -38,8 +47,8 @@ class AnalysisConfig:
     conditions: tuple = CONDITIONS
     j_disk: int = 10
     j_dyadic: int = 14
-    n_boundary: int = 2 ** 14
-    gauss_order: int = 4
+    n_boundary: int = poisson.DEFAULT_NODES
+    gauss_order: int = poisson.DEFAULT_GAUSS
     direct_resolution: int = 512
     seed: int = 0
     out: str | None = None
@@ -61,12 +70,11 @@ class AnalysisConfig:
             raise ValidationError(f"unknown conditions {bad}; valid: {CONDITIONS}")
         if len(set(self.conditions)) != len(self.conditions):
             raise ValidationError("condition subset contains duplicates")
-        if not MIN_CLASSIFY_LEVELS <= self.j_disk <= 12:
-            raise ValidationError(
-                f"j_disk must be in [{MIN_CLASSIFY_LEVELS}, 12], got {self.j_disk}")
-        if not MIN_CLASSIFY_LEVELS <= self.j_dyadic <= 40:
-            raise ValidationError(
-                f"j_dyadic must be in [{MIN_CLASSIFY_LEVELS}, 40], got {self.j_dyadic}")
+        for name, (lo, hi) in BOUNDS.items():
+            value = getattr(self, name)
+            if not (isinstance(value, int) and lo <= value <= hi):
+                raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], "
+                                      f"got {value!r}")
 
     def build_map(self) -> CircleHomeomorphism:
         return CircleHomeomorphism.from_spec(self.map_spec)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 invalid input or configuration, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -65,46 +66,37 @@ def _load_map_spec(arg: str) -> dict:
         f"{sorted(families)}, got {arg!r}")
 
 
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _parse_lambdas(text: str) -> tuple[float, ...]:
     try:
-        vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in _split(text))
     except ValueError:
         raise ValidationError(f"--lambda expects comma-separated reals, got {text!r}")
-    if not vals:
-        raise ValidationError("--lambda list is empty")
-    return vals
-
-
-def _parse_conditions(text: str) -> tuple[str, ...]:
-    vals = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    bad = [v for v in vals if v not in analyzer.CONDITIONS]
-    if bad:
-        raise ValidationError(
-            f"--conditions entries must be among {analyzer.CONDITIONS}, got {bad}")
-    if not vals:
-        raise ValidationError("--conditions list is empty")
-    return vals
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+    default = {f.name: f.default for f in dataclasses.fields(analyzer.AnalysisConfig)}
     p.add_argument("--map", required=True, metavar="FILE",
                    help="JSON map spec {kind, params, base_point_image_angle} "
                         "or a built-in family name (e.g. identity, power).")
-    p.add_argument("--lambda", dest="lambdas", default="-0.5,0,1,2",
-                   metavar="X[,X...]",
-                   help="comma-separated exponents, each > -1 (default: -0.5,0,1,2)")
-    p.add_argument("--levels", type=int, default=14, metavar="J",
-                   help="truncation level for the dyadic sums (iii)-(v) (default: 14)")
-    p.add_argument("--disk-levels", type=int, default=10, metavar="J",
-                   help="Whitney truncation for the disk energies (i)/(ii) (default: 10)")
-    p.add_argument("--conditions", default="i,ii,iii,iv,v", metavar="LIST",
-                   help="comma-separated subset of i,ii,iii,iv,v (default: all)")
-    p.add_argument("--n-boundary", type=int, default=2 ** 14, metavar="N",
-                   help="boundary quadrature nodes for the harmonic extension "
-                        "(default: 16384)")
-    p.add_argument("--gauss-order", type=int, default=4, metavar="N",
-                   help="Gauss-Legendre order per Whitney cell axis (default: 4)")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
+    p.add_argument("--lambda", dest="lambdas", metavar="X[,X...]",
+                   default=",".join(map(str, default["lambdas"])),
+                   help="comma-separated exponents, each > -1 (default: %(default)s)")
+    p.add_argument("--conditions", default=",".join(default["conditions"]),
+                   metavar="LIST",
+                   help="comma-separated subset of the conditions (default: %(default)s)")
+    for flag, name, what in (
+            ("--levels", "j_dyadic", "truncation level J for the dyadic sums (iii)-(v)"),
+            ("--disk-levels", "j_disk", "Whitney truncation J for the disk energies (i)/(ii)"),
+            ("--n-boundary", "n_boundary", "boundary quadrature nodes of the extension"),
+            ("--gauss-order", "gauss_order", "Gauss-Legendre order per Whitney cell axis")):
+        lo, hi = analyzer.BOUNDS[name]
+        p.add_argument(flag, dest=name, type=int, default=default[name], metavar="N",
+                       help=f"{what}, in [{lo}, {hi}] (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=default["seed"], metavar="N",
                    help="seed echoed into the report (sampling uses it where "
                         "randomness exists; the conditions themselves are "
                         "deterministic)")
@@ -114,11 +106,9 @@ def _config_from_args(args) -> analyzer.AnalysisConfig:
     return analyzer.AnalysisConfig(
         map_spec=_load_map_spec(args.map),
         lambdas=_parse_lambdas(args.lambdas),
-        conditions=_parse_conditions(args.conditions),
-        j_disk=args.disk_levels,
-        j_dyadic=args.levels,
-        n_boundary=args.n_boundary,
-        gauss_order=args.gauss_order,
+        conditions=_split(args.conditions),
+        j_disk=args.j_disk, j_dyadic=args.j_dyadic,
+        n_boundary=args.n_boundary, gauss_order=args.gauss_order,
         seed=args.seed,
         out=getattr(args, "out", None),
     )

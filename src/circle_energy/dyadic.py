@@ -11,20 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, check_level
 
 TWO_PI = 2.0 * math.pi
 
 MAX_LEVEL = 30          # arcs_at_level guard: 2**30 arcs is already absurd
 MAX_SEED_LEVEL = 24     # annular decompositions stay cheap well past this
 MAX_INDUCER_LEVEL = 16  # inducer enumeration is exponential in the level
-
-
-def _check_level(j: int, *, minimum: int = 1, maximum: int = MAX_LEVEL) -> None:
-    if not isinstance(j, int) or j < minimum:
-        raise DomainError(f"level must be an integer >= {minimum}, got {j!r}")
-    if j > maximum:
-        raise ResourceGuardError(f"level {j} exceeds guard {maximum}")
 
 
 @dataclass(frozen=True, order=True)
@@ -35,7 +28,7 @@ class DyadicArc:
     index: int
 
     def __post_init__(self) -> None:
-        _check_level(self.level)
+        check_level(self.level, MAX_LEVEL)
         if not isinstance(self.index, int) or not 1 <= self.index <= 2 ** self.level:
             raise DomainError(
                 f"index must be in 1..2**{self.level}, got {self.index!r}"
@@ -71,7 +64,7 @@ class DyadicArc:
 
     def children(self) -> tuple["DyadicArc", "DyadicArc"]:
         j, k = self.level + 1, 2 * self.index
-        _check_level(j)
+        check_level(j, MAX_LEVEL)
         return DyadicArc(j, k - 1), DyadicArc(j, k)
 
     def neighbour(self, step: int) -> "DyadicArc":
@@ -88,7 +81,7 @@ class DyadicArc:
 
 
 def arcs_at_level(j: int) -> list[DyadicArc]:
-    _check_level(j)
+    check_level(j, MAX_LEVEL)
     return [DyadicArc(j, k) for k in range(1, 2 ** j + 1)]
 
 
@@ -152,7 +145,7 @@ def whitney_cell(j: int, k: int) -> WhitneyCell:
 
 
 def whitney_cells_up_to(max_level: int) -> list[WhitneyCell]:
-    _check_level(max_level, maximum=MAX_INDUCER_LEVEL)
+    check_level(max_level, MAX_INDUCER_LEVEL)
     cells = []
     for j in range(1, max_level + 1):
         for k in range(1, 2 ** j + 1):
@@ -202,10 +195,7 @@ def annular_decomposition(seed: DyadicArc) -> AnnularDecomposition:
     remaining uncovered gap, so the result is an exact cover.
     """
     j = seed.level
-    if j < 2:
-        raise DomainError("annular decomposition needs a seed of level >= 2")
-    if j > MAX_SEED_LEVEL:
-        raise ResourceGuardError(f"seed level {j} exceeds guard {MAX_SEED_LEVEL}")
+    check_level(j, MAX_SEED_LEVEL, minimum=2, what="seed level")
 
     brother = seed.brother()
     members: list[DyadicArc] = [seed, brother]
@@ -270,8 +260,8 @@ def inducer_counts(max_target_level: int, max_seed_level: int) -> dict[tuple[int
     Returns {(j, n, m): count} where (n, m) identifies the target arc and j
     the seed level.  Enumerates every seed of level 2..max_seed_level once.
     """
-    _check_level(max_target_level, maximum=MAX_INDUCER_LEVEL)
-    _check_level(max_seed_level, minimum=2, maximum=MAX_INDUCER_LEVEL)
+    check_level(max_target_level, MAX_INDUCER_LEVEL)
+    check_level(max_seed_level, MAX_INDUCER_LEVEL, minimum=2)
     counts: dict[tuple[int, int, int], int] = {}
     for j in range(2, max_seed_level + 1):
         for seed in arcs_at_level(j):
@@ -284,7 +274,7 @@ def inducer_counts(max_target_level: int, max_seed_level: int) -> dict[tuple[int
 
 def inducers(target: DyadicArc, j: int) -> list[DyadicArc]:
     """Seeds at level j whose annular decomposition contains `target`."""
-    _check_level(j, minimum=2, maximum=MAX_INDUCER_LEVEL)
+    check_level(j, MAX_INDUCER_LEVEL, minimum=2)
     if j < target.level:
         raise DomainError("seed level must be >= target level")
     out = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from .circle_map import TWO_PI, CircleHomeomorphism
 from .errors import (DomainError, InsufficientDataError, NumericalError, ResourceGuardError,
-                     checked_pow)
+                     check_lambda, check_level, checked_pow)
 
 MAX_J = 20
 _E_BINS = 2098            # np.frexp exponents of finite doubles: -1073..1024
@@ -37,7 +37,7 @@ INCONCLUSIVE = "inconclusive"
 class EnergyReport:
     """Per-level contributions s_j and partial sums of one energy condition."""
 
-    condition: str          # iv | v | iii_direct | iii_dyadic | i | ii
+    condition: str          # i | ii | iii | iv | v
     lam: float
     J: int
     levels: tuple[int, ...]
@@ -50,15 +50,6 @@ class EnergyReport:
     def __post_init__(self) -> None:
         if any(s < 0 for s in self.per_level):
             raise DomainError("per-level contributions must be nonnegative")
-
-
-def _check_args(lam: float, J: int) -> None:
-    if not lam > -1.0:
-        raise DomainError(f"lambda must exceed -1, got {lam}")
-    if not isinstance(J, int) or J < 0:
-        raise DomainError(f"J must be a nonnegative integer, got {J!r}")
-    if J > MAX_J:
-        raise ResourceGuardError(f"J={J} exceeds guard {MAX_J}")
 
 
 def classify_sequence(levels, per_level, eps: float = DEFAULT_SLOPE_EPS) -> str:
@@ -89,8 +80,7 @@ def classify_convergence(report: EnergyReport, eps: float = DEFAULT_SLOPE_EPS) -
 
 
 def make_report(condition: str, lam: float, J: int, levels, per_level,
-                total: float | None = None,
-                eps: float = DEFAULT_SLOPE_EPS) -> EnergyReport:
+                total: float | None = None) -> EnergyReport:
     levels = tuple(int(j) for j in levels)
     per_level = tuple(float(s) for s in per_level)
     cum, run = [], []
@@ -100,7 +90,7 @@ def make_report(condition: str, lam: float, J: int, levels, per_level,
     if total is None:
         total = cum[-1] if cum else 0.0
     try:
-        cls = classify_sequence(levels, per_level, eps)
+        cls = classify_sequence(levels, per_level)
     except InsufficientDataError:
         cls = INCONCLUSIVE
     tail = per_level[-1] / cum[-1] if cum and cum[-1] > 0 else 0.0
@@ -148,8 +138,9 @@ def _level_sums(map_: CircleHomeomorphism, J: int, tasks) -> dict:
     of exactly 1 (lambda = 0) reuses the plain sums of l**2.  A task meeting a
     non-finite term gets its NumericalError in place of its sums.
     """
+    check_level(J, MAX_J, minimum=0, what="J")
     for condition, lam in tasks:
-        _check_args(lam, J)
+        check_lambda(lam)
         if condition not in ("iv", "v"):
             raise DomainError(f"unknown dyadic condition {condition!r}")
     edges = TWO_PI * np.arange(2 ** J + 1) / 2 ** J
@@ -247,7 +238,8 @@ def chi_bound(lam: float, J: int, condition: str = "iv") -> float:
     carries the worst-case log factor log^lambda(e + 2**(j/4)) when
     lambda > 0; for lambda <= 0 that factor is at most 1.
     """
-    _check_args(lam, J)
+    check_lambda(lam)
+    check_level(J, MAX_J, minimum=0, what="J")
     vals = []
     for j in range(1, J + 1):
         if condition == "iv":

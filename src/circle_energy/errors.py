@@ -33,6 +33,22 @@ class InsufficientDataError(CircleEnergyError, ValueError):
     """Not enough levels/samples to run a diagnostic."""
 
 
+def check_lambda(lam) -> float:
+    """lam as a float; the exponent range is the open interval (-1, inf)."""
+    lam = float(lam)
+    if not lam > -1.0:
+        raise DomainError(f"lambda must exceed -1, got {lam}")
+    return lam
+
+
+def check_level(j, maximum: int, minimum: int = 1, what: str = "level") -> None:
+    """An integer depth in [minimum, maximum]; above it is a resource guard."""
+    if not isinstance(j, int) or j < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {j!r}")
+    if j > maximum:
+        raise ResourceGuardError(f"{what} {j} exceeds guard {maximum}")
+
+
 def checked_pow(x: float, y: float) -> float:
     """x ** y for Python floats, with overflow raised as a NumericalError."""
     try:

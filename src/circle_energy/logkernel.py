@@ -20,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_map import TWO_PI, CircleHomeomorphism
-from .errors import DomainError, ResourceGuardError, checked_pow
+from .errors import (DomainError, ResourceGuardError, check_lambda, check_level,
+                     checked_pow)
 
 MIN_RESOLUTION = 64
 MAX_RESOLUTION = 2048
+MAX_J = 40
 LN2 = math.log(2.0)
-
-
-def _check_lambda(lam: float) -> None:
-    if not lam > -1.0:
-        raise DomainError(f"lambda must exceed -1, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class LogIntegralResult:
 
 def lambda_weight(t: float, lam: float) -> float:
     """Lambda(t) = (lambda+1) * log^lambda(1/t) / t on 0 < t < 1."""
-    _check_lambda(lam)
+    check_lambda(lam)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0, 1), got {t}")
     return (lam + 1.0) * checked_pow(math.log(1.0 / t), lam) / t
@@ -63,7 +60,7 @@ def lambda_weight(t: float, lam: float) -> float:
 
 def interval_weight(a: float, b: float, lam: float) -> float:
     """int_a^b Lambda(t) dt = log^(lambda+1)(1/a) - log^(lambda+1)(1/b)."""
-    _check_lambda(lam)
+    check_lambda(lam)
     if not 0.0 < a <= b <= 1.0:
         raise DomainError(f"need 0 < a <= b <= 1, got a={a}, b={b}")
     return (checked_pow(math.log(1.0 / a), lam + 1.0)
@@ -72,7 +69,7 @@ def interval_weight(a: float, b: float, lam: float) -> float:
 
 def band_weight(j: int, lam: float) -> float:
     """int over the dyadic band [2^-(j+1), 2^-j] of Lambda."""
-    _check_lambda(lam)
+    check_lambda(lam)
     if j < 1:
         raise DomainError(f"band index must be >= 1, got {j}")
     return checked_pow((j + 1) * LN2, lam + 1.0) - checked_pow(j * LN2, lam + 1.0)
@@ -160,10 +157,7 @@ class LogKernel:
         grids = {}
         if J is not None:
             _check_resolution(resolution)
-            if not isinstance(J, int) or J < 1:
-                raise DomainError(f"J must be a positive integer, got {J!r}")
-            if J > 40:
-                raise ResourceGuardError(f"J={J} exceeds guard 40")
+            check_level(J, MAX_J, what="J")
             self._bands = [sublevel_integral(map_, 2.0 ** -j, resolution)
                            for j in range(1, J + 1)]
             res = min(resolution, 512)
@@ -179,7 +173,7 @@ class LogKernel:
 
     def direct(self, lam: float) -> LogIntegralResult:
         """log_energy_direct at this lambda."""
-        _check_lambda(lam)
+        check_lambda(lam)
         part_one, part_two = self._direct_parts(lam)
         t0, k, (at_t0, *bands) = self._t0, self._k, self._tail
         tail = [at_t0 * checked_pow(abs(math.log(t0)), lam + 1.0),
@@ -192,7 +186,7 @@ class LogKernel:
 
     def dyadic(self, lam: float) -> LogIntegralResult:
         """log_energy_dyadic at this lambda."""
-        _check_lambda(lam)
+        check_lambda(lam)
         terms = [s * band_weight(j, lam) for j, s in enumerate(self._bands, 1)]
         part_two = math.fsum(terms)
         part_one, _ = self._dyadic_parts(lam)

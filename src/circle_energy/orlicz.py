@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, optimize, signal
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_lambda
 
 _E = math.e
 GRID_LO, GRID_HI = 1e-8, 1e8
@@ -40,16 +40,9 @@ def log_grid(n: int = 200, lo: float = GRID_LO, hi: float = GRID_HI) -> np.ndarr
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not lam > -1.0:
-        raise DomainError(f"lambda must exceed -1, got {lam}")
-    return lam
-
-
 def phi_lambda(t, lam: float):
     """Phi(t) = t^2 log^lambda(e + t), elementwise on arrays."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("Phi is defined for t >= 0")
@@ -59,7 +52,7 @@ def phi_lambda(t, lam: float):
 
 def phi_lambda_density(t, lam: float):
     """Derivative of phi_lambda in t; increasing with value 0 at t = 0."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     # numpy scalars for float input: brentq and quad call this point by
     # point, and 0-d array handling tripled the cost with the same results
     t = np.float64(t) if isinstance(t, float) else np.asarray(t, dtype=float)
@@ -85,7 +78,7 @@ class NFunction:
 
 def log_weighted_square(lam: float) -> NFunction:
     """The package's canonical N-function t^2 log^lambda(e+t)."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     return NFunction(evaluate=lambda t: phi_lambda(t, lam),
                      density=lambda t: phi_lambda_density(t, lam),
                      lam=lam, name=f"t^2 log^{lam:g}(e+t)")

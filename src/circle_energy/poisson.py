@@ -46,11 +46,13 @@ import numpy as np
 from .circle_map import TWO_PI, CircleHomeomorphism
 from .dyadic import whitney_cell
 from .energy import EnergyReport, make_report
-from .errors import DomainError, NumericalError, ResourceGuardError
+from .errors import DomainError, NumericalError, check_lambda, check_level
 
 BARRIER = 1.0 - 2.0 ** -20
 DEFAULT_NODES = 2 ** 14
 DEFAULT_GAUSS = 4
+NODES_RANGE = (2 ** 8, 2 ** 18)
+GAUSS_RANGE = (2, 12)
 MAX_WHITNEY_J = 12
 _CHUNK_ENTRIES = 4_000_000  # complex entries per kernel-matrix chunk
 
@@ -79,10 +81,10 @@ class HarmonicExtension:
 
     def __init__(self, map_: CircleHomeomorphism, n_boundary: int = DEFAULT_NODES,
                  gauss_order: int = DEFAULT_GAUSS):
-        if not 2 ** 8 <= n_boundary <= 2 ** 18:
-            raise DomainError(f"n_boundary must be in [2^8, 2^18], got {n_boundary}")
-        if not 2 <= gauss_order <= 12:
-            raise DomainError(f"gauss_order must be in 2..12, got {gauss_order}")
+        for name, value, (lo, hi) in (("n_boundary", n_boundary, NODES_RANGE),
+                                      ("gauss_order", gauss_order, GAUSS_RANGE)):
+            if not lo <= value <= hi:
+                raise DomainError(f"{name} must be in [{lo}, {hi}], got {value}")
         self.map = map_
         self.n_boundary = int(n_boundary)
         self.gauss_order = int(gauss_order)
@@ -95,7 +97,7 @@ class HarmonicExtension:
         self._phi = map_.base_point_image * np.exp(1j * lift)
         self._dtheta = TWO_PI / self.n_boundary
         self._masses = np.diff(map_.lift_values(edges))  # Stieltjes cell masses
-        self._field_cache: dict[tuple[int, int], dict] = {}
+        self._field_cache: dict[int, dict] = {}
 
     # -- point evaluation ------------------------------------------------
 
@@ -122,33 +124,21 @@ class HarmonicExtension:
         z = self._check_point(z)
         return float(np.dot(self._masses, 1.0 / np.abs(z - self._zeta)) / TWO_PI)
 
-    # -- batched kernels ---------------------------------------------------
-
-    def _batched(self, zs: np.ndarray, fn):
-        chunk = max(1, _CHUNK_ENTRIES // self.n_boundary)
-        outs = []
-        for i in range(0, len(zs), chunk):
-            outs.append(fn(zs[i:i + chunk]))
-        return [np.concatenate(parts) for parts in zip(*outs)]
-
-    def _extend_batch(self, zs: np.ndarray) -> np.ndarray:
-        def block(zb):
-            ker = (1.0 - np.abs(zb[:, None]) ** 2) / np.abs(zb[:, None] - self._zeta) ** 2
-            return (ker @ self._phi * (self._dtheta / TWO_PI),)
-        return self._batched(zs, block)[0]
+    # -- batched kernel ----------------------------------------------------
 
     def _derivative_batch(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Direct kernel sums, in chunks of at most _CHUNK_ENTRIES matrix entries."""
         scale = self._dtheta / TWO_PI
         cz = self._zeta * self._phi * scale
         czb = np.conj(self._zeta) * self._phi * scale
-
-        def block(zb):
-            dz = zb[:, None] - self._zeta
+        hz, hzb = np.empty(len(zs), dtype=complex), np.empty(len(zs), dtype=complex)
+        chunk = max(1, _CHUNK_ENTRIES // self.n_boundary)
+        for i in range(0, len(zs), chunk):
+            dz = zs[i:i + chunk, None] - self._zeta
             inv2 = 1.0 / (dz * dz)
-            hz = inv2 @ cz
-            hzb = np.conj(inv2) @ czb
-            return hz, hzb
-        return self._batched(zs, block)
+            hz[i:i + chunk] = inv2 @ cz
+            hzb[i:i + chunk] = np.conj(inv2) @ czb
+        return hz, hzb
 
     # -- Whitney-grid derivative field ------------------------------------
 
@@ -159,16 +149,9 @@ class HarmonicExtension:
         the module docstring (`_ring_derivatives`), which equals the direct
         kernel sum of `_derivative_batch` at the same nodes up to rounding.
         """
-        if not isinstance(J, int) or J < 1:
-            raise DomainError(f"J must be a positive integer, got {J!r}")
-        if J > MAX_WHITNEY_J:
-            raise ResourceGuardError(f"Whitney depth {J} exceeds guard {MAX_WHITNEY_J}")
-        key = (J, self.gauss_order)
-        if key in self._field_cache:
-            return self._field_cache[key]
-        deeper = [k for k in self._field_cache if k[1] == self.gauss_order and k[0] > J]
-        if deeper:
-            return self._field_cache[min(deeper)]
+        check_level(J, MAX_WHITNEY_J, what="Whitney depth")
+        if J in self._field_cache:
+            return self._field_cache[J]
 
         gx, gw = np.polynomial.legendre.leggauss(self.gauss_order)
         coeffs = self._ring_coefficients()
@@ -195,7 +178,7 @@ class HarmonicExtension:
             field["levels"].append({"j": j, "slice": slice(pos, pos + z.size),
                                     "weights": w})
             pos += z.size
-        self._field_cache[key] = field
+        self._field_cache[J] = field
         return field
 
     def _ring_coefficients(self) -> np.ndarray:
@@ -228,15 +211,12 @@ class HarmonicExtension:
         return out[0], np.conj(out[1])
 
     def _energy(self, condition: str, lam: float, J: int) -> EnergyReport:
-        if not lam > -1.0:
-            raise DomainError(f"lambda must exceed -1, got {lam}")
+        check_lambda(lam)
         field = self._whitney_field(J)
         norm = field["norm"]
         radius = field["radius"]
         per_level = []
         for lev in field["levels"]:
-            if lev["j"] > J:
-                break
             j, sl, w = lev["j"], lev["slice"], lev["weights"]
             nn = norm[sl]
             if condition == "i":

@@ -1,12 +1,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circle_energy import energy, logkernel, report
-from circle_energy.analyzer import CONDITIONS, AnalysisConfig, analyze, sweep
-from circle_energy.circle_map import CircleHomeomorphism, catalog
-from circle_energy.errors import ValidationError
+from circle_energy import energy, logkernel, poisson, report
+from circle_energy.analyzer import (CONDITIONS, MIN_CLASSIFY_LEVELS, AnalysisConfig,
+                                    analyze, sweep)
+from circle_energy.circle_map import TWO_PI, CircleHomeomorphism, catalog
+from circle_energy.errors import ResourceGuardError, ValidationError
 
 IDENTITY_SPEC = {"kind": "identity", "params": {},
                  "base_point_image_angle": 0.0}
@@ -48,6 +52,21 @@ def test_level_and_thread_bounds():
         quick_config(j_disk=13)
     with pytest.raises(ValidationError):
         quick_config(j_dyadic=41)
+
+
+@pytest.mark.parametrize("name, lowest, highest", [
+    ("j_disk", MIN_CLASSIFY_LEVELS, poisson.MAX_WHITNEY_J),
+    ("j_dyadic", MIN_CLASSIFY_LEVELS, energy.MAX_J),
+    ("n_boundary", *poisson.NODES_RANGE),
+    ("gauss_order", *poisson.GAUSS_RANGE),
+    ("direct_resolution", logkernel.MIN_RESOLUTION, logkernel.MAX_RESOLUTION),
+])
+def test_config_bounds_are_the_module_guards(name, lowest, highest):
+    for value in (lowest, highest):
+        assert getattr(quick_config(**{name: value}), name) == value
+    for value in (lowest - 1, highest + 1):
+        with pytest.raises(ValidationError, match=name):
+            quick_config(**{name: value})
 
 
 # -- analyze ----------------------------------------------------------------------------
@@ -93,19 +112,23 @@ def test_all_condition_pairs_tabulated(identity_doc):
 
 
 def test_failed_condition_recorded_not_raised():
-    # resolution below the direct-method floor fails inside the worker
-    doc = analyze(quick_config(lambdas=(0.0,), conditions=("iii",),
-                               direct_resolution=16))
-    entry = doc["results"]["0.0"]["conditions"]["iii"]
+    # log^(lambda+1) overflows a double at lambda = 1000 inside the (iii) engine
+    doc = analyze(quick_config(lambdas=(1000.0,), conditions=("iii",)))
+    entry = doc["results"]["1000.0"]["conditions"]["iii"]
     assert entry["status"] == "failed"
     assert entry["module"] == "logkernel"
-    assert doc["results"]["0.0"]["verdict"] == "mixed/flagged"
+    assert doc["results"]["1000.0"]["verdict"] == "mixed/flagged"
 
 
-def test_failed_conditions_never_give_a_consistent_verdict():
-    # (iii) converges at J=24, but (iv) and (v) stop at their level guard
-    doc = analyze(quick_config(lambdas=(0.0,), conditions=("iii", "iv", "v"),
-                               j_dyadic=24))
+def test_failed_conditions_never_give_a_consistent_verdict(monkeypatch):
+    # (iii) converges, but the (iv)/(v) engine stops at a resource guard
+    import circle_energy.analyzer as analyzer_mod
+
+    def guarded(*args, **kwargs):
+        raise ResourceGuardError("J 8 exceeds guard 7")
+
+    monkeypatch.setattr(analyzer_mod, "dyadic_reports", guarded)
+    doc = analyze(quick_config(lambdas=(0.0,), conditions=("iii", "iv", "v")))
     block = doc["results"]["0.0"]
     assert block["conditions"]["iii"]["classification"] == "convergent"
     for cond in ("iv", "v"):
@@ -199,6 +222,31 @@ def test_dyadic_conditions_share_one_lift(monkeypatch):
         lifted.clear()
         analyze(quick_config(lambdas=lambdas, conditions=("iv", "v")))
         assert lifted == [2 ** 8 + 1], lambdas
+
+
+@st.composite
+def bilipschitz_knots(draw):
+    """Knots of a piecewise-linear lift: 2-12 segments, slopes within a factor 32."""
+    n = draw(st.integers(2, 12))
+    widths = np.array(draw(st.lists(st.floats(1.0, 32.0), min_size=n, max_size=n)))
+    slopes = np.array(draw(st.lists(st.floats(1.0, 32.0), min_size=n, max_size=n)))
+    t = TWO_PI * np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+    rise = slopes * np.diff(t)
+    v = TWO_PI * np.concatenate([[0.0], np.cumsum(rise)]) / rise.sum()
+    return [[float(a), float(b)] for a, b in zip(t[:-1], v[:-1])] + [[TWO_PI, TWO_PI]]
+
+
+@settings(max_examples=6)
+@given(bilipschitz_knots())
+def test_bilipschitz_maps_never_fail_or_diverge(knots):
+    # the fixture config: J_disk = 10, J_dyadic = 14, N_b = 2^14
+    spec = {"kind": "piecewise_linear", "params": {"knots": knots},
+            "base_point_image_angle": 0.0}
+    doc = analyze(AnalysisConfig(map_spec=spec, lambdas=(-0.5, 0.0, 1.0)))
+    for key, block in doc["results"].items():
+        for cond, entry in block["conditions"].items():
+            assert entry["status"] == "ok", (key, cond, entry)
+            assert entry["classification"] != "divergent", (key, cond, knots)
 
 
 # -- sweep ------------------------------------------------------------------------------

@@ -34,14 +34,23 @@ def test_analyze_out_dir(tmp_path, capsys):
 
 
 def test_analyze_exits_2_after_reporting_failed_conditions(tmp_path, capsys):
-    args = ["analyze", "--map", "identity", "--lambda", "0", "--levels", "24",
-            "--conditions", "iv"]
+    # j^lambda overflows a double at lambda = 1000
+    args = ["analyze", "--map", "identity", "--lambda", "1000", "--conditions", "iv"]
     assert main(args) == 2
     doc = json.loads(capsys.readouterr().out)
-    assert doc["results"]["0.0"]["conditions"]["iv"]["status"] == "failed"
+    assert doc["results"]["1000.0"]["conditions"]["iv"]["status"] == "failed"
     assert main([*args, "--out", str(tmp_path)]) == 2
     assert "verdict mixed/flagged" in capsys.readouterr().out
     assert (tmp_path / "report.json").is_file()
+
+
+def test_out_of_range_levels_rejected_before_any_work(capsys):
+    args = ["analyze", "--map", "identity", "--conditions", "iv", "--levels", "24",
+            "--lambda", "0"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "j_dyadic" in captured.err
+    assert captured.out == ""
 
 
 def test_negative_lambda_value_in_space_separated_form(capsys):
