@@ -207,24 +207,22 @@ def analyze(config: AnalysisConfig) -> dict:
     if config.out is not None:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
-        report_io.write_report(doc, out / "report.json", validate=False)
+        report_io.write_report(doc, out / "report.json")
         report_io.write_levels_csv(doc, out / "levels.csv")
         report_io.write_ratios_csv(doc, out / "ratios.csv")
     return doc
 
 
-def sweep(config: AnalysisConfig, lambda_grid=None) -> list[dict]:
+def sweep(config: AnalysisConfig) -> list[dict]:
     """Partial totals and classifications per (lambda, J); J runs from 6 up.
 
     Truncations below six levels cannot be classified by the slope fit, so
     the table starts at J = 6.
     """
-    lambdas = config.lambdas if lambda_grid is None else tuple(
-        float(v) for v in lambda_grid)
-    base = analyze(replace(config, lambdas=lambdas, out=None))   # revalidates lambdas
+    base = analyze(replace(config, out=None))
     rows = []
     j_max = max(config.j_disk, config.j_dyadic)
-    for lam in lambdas:
+    for lam in config.lambdas:
         conds = base["results"][repr(lam)]["conditions"]
         for J in range(MIN_CLASSIFY_LEVELS, j_max + 1):
             row = {"lambda": lam, "J": J}

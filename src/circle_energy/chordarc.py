@@ -3,8 +3,10 @@
 A PolygonDomain is a simple, positively oriented closed polygon.  The
 internal distance between two boundary points is the length of the shortest
 path joining them inside the closed domain; on polygons this geodesic is a
-polyline whose interior corners occur only at reflex vertices, so it is
-computed on a visibility graph over {endpoints} + {reflex vertices}.
+polyline whose interior corners occur only at reflex vertices.  The polygon
+caches one table of geodesic distances between its reflex vertices, so a
+blocked chord costs one visibility test per (endpoint, reflex vertex) pair
+and a minimum over the table.
 
 The chord-arc constant max ell(w1,w2)/|w1-w2| and its internal variant
 max ell(w1,w2)/lambda(w1,w2) are estimated by stratified pair sampling
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, InsufficientDataError, ValidationError
 
@@ -60,15 +60,15 @@ class PolygonDomain:
             verts = verts[:-1]
         self.vertices = verts
         self.n = len(verts)
-        e = np.roll(verts, -1, axis=0) - verts
-        self._edge_vec = e
+        self._next_vertices = np.roll(verts, -1, axis=0)
+        self._edge_vec = e = self._next_vertices - verts
         self.edge_lengths = np.hypot(e[:, 0], e[:, 1])
         if np.any(self.edge_lengths < _EPS):
             raise ValidationError("degenerate (zero-length) polygon edge")
         self.cum_lengths = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
         self.perimeter = float(self.cum_lengths[-1])
-        area2 = float(np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
-                             - np.roll(verts[:, 0], -1) * verts[:, 1]))
+        nxt = self._next_vertices
+        area2 = float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
         if area2 <= _EPS:
             raise ValidationError("polygon must be counterclockwise (signed area > 0)")
         self.area = 0.5 * area2
@@ -76,8 +76,7 @@ class PolygonDomain:
 
     def _check_simple(self) -> None:
         """Exact-orientation test that no two non-adjacent edges cross."""
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
+        v, w = self.vertices, self._next_vertices
         n = self.n
         i, j = np.triu_indices(n, k=2)
         keep = ~((i == 0) & (j == n - 1))     # wrap-around adjacency
@@ -127,8 +126,7 @@ class PolygonDomain:
         return bool(self._inside_mask(p[None, :])[0])
 
     def _inside_mask(self, pts: np.ndarray) -> np.ndarray:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
+        v, w = self.vertices, self._next_vertices
         y1, y2 = v[:, 1][None, :], w[:, 1][None, :]
         x1, x2 = v[:, 0][None, :], w[:, 0][None, :]
         py = pts[:, 1][:, None]
@@ -152,12 +150,12 @@ class PolygonDomain:
     def _segments_admissible(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """True where the open segment stays in the closed domain.
 
-        A segment is admissible iff it properly crosses no edge and its
-        midpoint is inside or on the boundary.
+        A segment is admissible iff it properly crosses no edge and the
+        midpoint of each piece between the polygon vertices it passes
+        through is inside or on the boundary.
         """
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        ex, ey = (w - v)[:, 0][None, :], (w - v)[:, 1][None, :]
+        v, w = self.vertices, self._next_vertices
+        ex, ey = self._edge_vec[:, 0][None, :], self._edge_vec[:, 1][None, :]
         vx, vy = v[:, 0][None, :], v[:, 1][None, :]
         sx, sy = starts[:, 0][:, None], starts[:, 1][:, None]
         tx, ty = ends[:, 0][:, None], ends[:, 1][:, None]
@@ -167,23 +165,41 @@ class PolygonDomain:
         d3 = _cross(gx, gy, vx - sx, vy - sy)
         d4 = _cross(gx, gy, (w[:, 0][None, :]) - sx, (w[:, 1][None, :]) - sy)
         blocked = np.any((d1 * d2 < -_EPS) & (d3 * d4 < -_EPS), axis=1)
-        mids = 0.5 * (starts + ends)
-        on_bd = self._distance_to_boundary(mids) < _ON_BOUNDARY
-        return ~blocked & (on_bd | self._inside_mask(mids))
+        ok = ~blocked & self._in_closure(0.5 * (starts + ends))
+        # vertices within _ON_BOUNDARY of the open segment; its ends are dropped,
+        # since every visibility segment ends at a reflex vertex
+        gg = gx * gx + gy * gy
+        along = (vx - sx) * gx + (vy - sy) * gy
+        tol = _ON_BOUNDARY * np.sqrt(gg)
+        through = (np.abs(d3) <= tol) & (along > tol) & (along < gg - tol)
+        for r in np.nonzero(ok & through.any(axis=1))[0]:
+            cut = np.concatenate([[0.0], np.sort(along[r, through[r]]) / gg[r, 0], [1.0]])
+            u = 0.5 * (cut[:-1] + cut[1:])
+            ok[r] = self._in_closure(starts[r] + u[:, None] * (ends[r] - starts[r])).all()
+        return ok
+
+    def _in_closure(self, pts: np.ndarray) -> np.ndarray:
+        """Inside or within _ON_BOUNDARY of an edge; distances only where outside."""
+        ok = self._inside_mask(pts)
+        ok[~ok] = self._distance_to_boundary(pts[~ok]) < _ON_BOUNDARY
+        return ok
 
     @cached_property
     def _reflex_graph(self) -> tuple[np.ndarray, np.ndarray]:
-        """(reflex coordinates, pairwise geodesic-edge length matrix)."""
-        idx = self.reflex_vertices
-        pts = self.vertices[idx]
+        """(reflex coordinates, all-pairs geodesic distances between them).
+
+        Admissible segments seed the table (inf where blocked); Floyd-Warshall
+        closes it over paths that bend at other reflex vertices."""
+        pts = self.vertices[self.reflex_vertices]
         m = len(pts)
         dist = np.zeros((m, m))
-        if m > 1:
-            ii, jj = np.triu_indices(m, k=1)
-            adm = self._segments_admissible(pts[ii], pts[jj])
-            d = np.where(adm, np.hypot(*(pts[ii] - pts[jj]).T), np.inf)
-            dist[ii, jj] = d
-            dist[jj, ii] = d
+        ii, jj = np.triu_indices(m, k=1)
+        adm = self._segments_admissible(pts[ii], pts[jj])
+        d = np.where(adm, np.hypot(*(pts[ii] - pts[jj]).T), np.inf)
+        dist[ii, jj] = d
+        dist[jj, ii] = d
+        for k in range(m):
+            np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
         return pts, dist
 
     # -- distances ----------------------------------------------------------
@@ -194,29 +210,24 @@ class PolygonDomain:
         return min(d, self.perimeter - d)
 
     def internal_distance(self, w1: BoundaryPoint, w2: BoundaryPoint) -> float:
-        """Geodesic distance inside the closed polygon."""
+        """Geodesic distance inside the closed polygon: the chord if admissible,
+        else min over i, k of |a r_i| + D[i, k] + |r_k b|, D the reflex table."""
         a, b = w1.coords, w2.coords
         chord = float(np.hypot(*(a - b)))
         if chord < _EPS:
             return 0.0
         if self._segments_admissible(a[None, :], b[None, :])[0]:
             return chord
-        pts, core = self._reflex_graph
+        pts, table = self._reflex_graph
         m = len(pts)
         if m == 0:
             raise ValidationError(
                 "blocked chord in a polygon with no reflex vertices")
-        size = m + 2
-        g = np.full((size, size), np.inf)
-        g[2:, 2:] = core
-        for slot, p in ((0, a), (1, b)):
-            adm = self._segments_admissible(np.tile(p, (m, 1)), pts)
-            d = np.where(adm, np.hypot(*(pts - p).T), np.inf)
-            g[slot, 2:] = d
-            g[2:, slot] = d
-        g[np.isinf(g)] = 0.0
-        sp = dijkstra(csr_matrix(g), directed=False, indices=0)
-        out = float(sp[1])
+        starts = np.repeat([a, b], m, axis=0)
+        ends = np.tile(pts, (2, 1))
+        reach = np.where(self._segments_admissible(starts, ends),
+                         np.hypot(*(starts - ends).T), np.inf).reshape(2, m)
+        out = float(np.min(reach[0][:, None] + table + reach[1][None, :]))
         if not math.isfinite(out):
             raise ValidationError("no admissible path found between boundary points")
         return out

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,20 +52,6 @@ def _clamped(x, name: str) -> float:
     if not -1e-12 <= v <= TWO_PI + 1e-12:
         raise DomainError(f"{name} must lie in [0, 2*pi], got {x!r}")
     return min(TWO_PI, max(0.0, v))
-
-
-def _bisect_inverse(lift: Callable[[float], float], value: float, tol: float) -> float:
-    lo, hi = 0.0, TWO_PI
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = lift(mid)
-        if abs(fmid - value) <= tol or hi - lo <= tol:
-            return mid
-        if fmid < value:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(f"lift inversion did not reach tol={tol}")
 
 
 # --- family lifts (vectorised; theta assumed inside [0, 2*pi]) -------------
@@ -116,7 +102,7 @@ def _require(p: dict, key: str, kind: str):
 
 
 def _build_family(kind: str, p: dict):
-    """Return (lift, inverse_or_None, normalised_params, base_rotation).
+    """Return (lift, inverse, normalised_params, base_rotation).
 
     Pops every param it reads from p; whatever is left is unknown.
     """
@@ -228,28 +214,22 @@ class CircleHomeomorphism:
     kind: str
     params: dict = field(compare=False)
     base_point_image: complex
-    inverse_tolerance: float
     _lift: Callable = field(repr=False, compare=False)
-    _inverse: Callable | None = field(repr=False, compare=False)
+    _inverse: Callable = field(repr=False, compare=False)
 
     # -- construction --------------------------------------------------
 
     @staticmethod
     def create(kind: str, params: dict | None = None, *,
-               base_point_image_angle: float = 0.0,
-               inverse_tolerance: float = 1e-12) -> "CircleHomeomorphism":
-        if not 0.0 < inverse_tolerance <= 1e-6:
-            raise ValidationError(
-                f"inverse_tolerance must be in (0, 1e-6], got {inverse_tolerance}")
+               base_point_image_angle: float = 0.0) -> "CircleHomeomorphism":
         p = dict(params or {})
         lift, inv, prm, extra = _build_family(kind, p)
         if p:
             raise ValidationError(f"unknown {kind} params {sorted(p)}")
         angle = (float(base_point_image_angle) + extra) % TWO_PI
         base = complex(math.cos(angle), math.sin(angle))
-        return CircleHomeomorphism(
-            kind=kind, params=prm, base_point_image=base,
-            inverse_tolerance=inverse_tolerance, _lift=lift, _inverse=inv)
+        return CircleHomeomorphism(kind=kind, params=prm, base_point_image=base,
+                                   _lift=lift, _inverse=inv)
 
     @staticmethod
     def from_spec(spec: dict) -> "CircleHomeomorphism":
@@ -314,14 +294,12 @@ class CircleHomeomorphism:
         return self.base_point_image * complex(math.cos(f), math.sin(f))
 
     def invert_lift(self, value: float) -> float:
-        """theta with f(theta) = value, via closed form or monotone bisection."""
+        """theta with f(theta) = value, by the family's closed-form or
+        interpolated inverse, clamped into [0, 2*pi]."""
         v = _clamped(value, "value")
         if v in (0.0, TWO_PI):
             return v
-        if self._inverse is not None:
-            t = float(self._inverse(v))
-            return min(max(t, 0.0), TWO_PI)
-        return _bisect_inverse(lambda t: float(self._lift(t)), v, self.inverse_tolerance)
+        return min(max(float(self._inverse(v)), 0.0), TWO_PI)
 
     # -- measures ---------------------------------------------------------
 

@@ -118,7 +118,7 @@ def _cmd_analyze(args) -> int:
     config = _config_from_args(args)
     doc = analyzer.analyze(config)
     if args.out is None:
-        sys.stdout.write(report_io.render_report(doc, validate=False))   # analyze validated it
+        sys.stdout.write(report_io.render_report(doc))
     else:
         for lam_key, block in sorted(doc["results"].items(), key=lambda kv: float(kv[0])):
             print(f"lambda={lam_key}: verdict {block['verdict']}")

@@ -6,9 +6,10 @@ density (derivative)
     phi_N(t) = 2 t log^lambda(e+t) + lambda t^2 log^{lambda-1}(e+t) / (e+t),
 
 which is increasing with phi_N(0) = 0, so Phi is an N-function.  The
-complementary function is built by monotone inversion of the density,
-psi(t) = sup{s : phi_N(s) <= t}, and Psi(t) = int_0^t psi; the Legendre
-identity Psi(t) = t psi(t) - Phi(psi(t)) serves as an independent oracle.
+complementary function comes from monotone inversion of the density,
+psi(t) = sup{s : phi_N(s) <= t}, and Young's equality
+Psi(t) = t psi(t) - Phi(psi(t)); adaptive quadrature of Psi(t) = int_0^t psi
+is kept as the independent oracle (`legendre_residual`).
 
 The maximal operator averages grid samples over disks whose cell membership
 is decided by the cell-center rule; the radius list is finite (dyadic by
@@ -111,25 +112,21 @@ class ComplementaryPair:
                                      xtol=1e-300, rtol=8.9e-16))
 
     def complementary(self, t: float) -> float:
-        """Psi(t) = int_0^t psi(s) ds by adaptive quadrature, 1e-8 relative."""
+        """Psi(t) = t psi(t) - Phi(psi(t)), Young's equality at s = psi(t)."""
         t = float(t)
         if t < 0:
             raise DomainError("Psi is defined for t >= 0")
-        if t == 0.0:
-            return 0.0
+        s = self.psi(t)
+        return t * s - float(self.primal(s))
+
+    def legendre_residual(self, t: float) -> float:
+        """|Q - Psi(t)| / max(1, Q), Q = int_0^t psi by quadrature; near 0."""
         val, err = integrate.quad(self.psi, 0.0, t, epsabs=0.0, epsrel=1e-10,
                                   limit=200)
         if not math.isfinite(val) or (val > 0 and err / val > 1e-8):
             raise NumericalError(
                 f"complementary quadrature did not reach 1e-8 relative at t={t}")
-        return val
-
-    def legendre_residual(self, t: float) -> float:
-        """|Psi(t) - (t psi(t) - Phi(psi(t)))| / max(1, Psi(t)); near 0."""
-        s = self.psi(t)
-        lhs = self.complementary(t)
-        rhs = t * s - float(self.primal(s))
-        return abs(lhs - rhs) / max(1.0, abs(lhs))
+        return abs(val - self.complementary(t)) / max(1.0, abs(val))
 
     def young_slack(self, s_grid, t_grid) -> float:
         """min over the grid of Phi(s) + Psi(t) - s t; >= -tol numerically."""

@@ -127,15 +127,13 @@ def validate_report(doc: dict) -> None:
         raise ValidationError(f"report failed schema validation: {error.message}")
 
 
-def render_report(doc: dict, validate: bool = True) -> str:
-    """The report as deterministic JSON; `validate=False` for a validated doc."""
-    if validate:
-        validate_report(doc)
+def render_report(doc: dict) -> str:
+    """The report as deterministic JSON; `analyze` has validated it."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(doc: dict, path, validate: bool = True) -> None:
-    Path(path).write_text(render_report(doc, validate))
+def write_report(doc: dict, path) -> None:
+    Path(path).write_text(render_report(doc))
 
 
 def load_report(path) -> dict:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,10 +269,10 @@ def test_sweep_rows_identity(tmp_path):
 
 def test_sweep_lambda_grid_override_and_rejection():
     cfg = quick_config(lambdas=(0.0,), conditions=("iv",), j_dyadic=8)
-    rows = sweep(cfg, lambda_grid=[1.0, 2.0])
+    rows = sweep(replace(cfg, lambdas=(1.0, 2.0)))
     assert sorted({r["lambda"] for r in rows}) == [1.0, 2.0]
     with pytest.raises(ValidationError):
-        sweep(cfg, lambda_grid=[-1.0])
+        sweep(replace(cfg, lambdas=(-1.0,)))
 
 
 def test_deep_cantor_verdict_matches_fixture():
@@ -293,6 +294,6 @@ def test_deep_cantor_verdict_matches_fixture():
 def test_sweep_totals_monotone_in_lambda():
     # heavier weight per cell for larger lambda once the arcs are short
     cfg = quick_config(lambdas=(0.0,), conditions=("v",), j_dyadic=8)
-    rows = sweep(cfg, lambda_grid=[0.0, 1.0, 2.0])
+    rows = sweep(replace(cfg, lambdas=(0.0, 1.0, 2.0)))
     final = {r["lambda"]: r["total_v"] for r in rows if r["J"] == 8}
     assert final[0.0] < final[1.0] < final[2.0]

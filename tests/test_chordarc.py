@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from circle_energy import chordarc
 from circle_energy.chordarc import (CUSP_JUNCTION_X, PairSampler,
                                     PolygonDomain, chordarc_constant,
                                     cusp_domain, internal_chordarc_constant,
@@ -14,6 +17,9 @@ from circle_energy.errors import (DomainError, InsufficientDataError,
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0],
            [0.0, 2.0]]
+# two notches cut down from the top edge y = 3; four reflex corners at y = 1
+ZIGZAG = [[0, 0], [5, 0], [5, 3], [4, 3], [4, 1], [3, 1], [3, 3], [2, 3],
+          [2, 1], [1, 1], [1, 3], [0, 3]]
 
 
 # -- polygon basics -------------------------------------------------------------
@@ -89,25 +95,51 @@ def test_l_shape_geodesic_turns_at_reflex_corner():
     assert dom.internal_distance(p, q) > chord
 
 
+def test_zigzag_geodesic_through_collinear_vertices():
+    # the chord y = 3 runs along the top edges and across both notches; it
+    # meets no edge properly, and its midpoint (2.5, 3) lies on the boundary
+    dom = PolygonDomain(ZIGZAG)
+    assert list(dom.reflex_vertices) == [4, 5, 8, 9]
+    p = dom.boundary_point(10, 0.5)     # (0.5, 3)
+    q = dom.boundary_point(2, 0.5)      # (4.5, 3), bends at (1, 1) and (4, 1)
+    assert dom.internal_distance(p, q) == pytest.approx(3 + 2 * math.sqrt(4.25),
+                                                        rel=1e-12)
+
+
 def test_internal_distance_triangle_inequality():
-    dom = PolygonDomain(L_SHAPE)
-    pts = [dom.point_at_arclength(s) for s in (0.5, 2.3, 4.1, 6.0, 7.2)]
-    for a in pts:
-        for b in pts:
-            for c in pts:
-                dab = dom.internal_distance(a, b)
-                dbc = dom.internal_distance(b, c)
-                dac = dom.internal_distance(a, c)
-                assert dac <= dab + dbc + 1e-9
+    for verts, arcs in ((L_SHAPE, (0.5, 2.3, 4.1, 6.0, 7.2)),
+                        (ZIGZAG, (0.5, 5.5, 8.5, 12.5, 17.5, 21.5))):
+        dom = PolygonDomain(verts)
+        pts = [dom.point_at_arclength(s) for s in arcs]
+        for a in pts:
+            for b in pts:
+                for c in pts:
+                    dab = dom.internal_distance(a, b)
+                    dbc = dom.internal_distance(b, c)
+                    dac = dom.internal_distance(a, c)
+                    assert dac <= dab + dbc + 1e-9
 
 
 def test_internal_distance_between_chord_and_arc():
-    dom = PolygonDomain(L_SHAPE)
-    a = dom.point_at_arclength(1.0)
-    b = dom.point_at_arclength(5.0)
-    chord = math.hypot(a.coords[0] - b.coords[0], a.coords[1] - b.coords[1])
-    ell = dom.internal_distance(a, b)
-    assert chord - 1e-12 <= ell <= dom.boundary_arc_length(a, b) + 1e-12
+    for verts, pairs in ((L_SHAPE, [(1.0, 5.0)]),
+                         (ZIGZAG, [(0.5, 5.5), (8.5, 17.5), (12.5, 21.5)])):
+        dom = PolygonDomain(verts)
+        for s, t in pairs:
+            a = dom.point_at_arclength(s)
+            b = dom.point_at_arclength(t)
+            chord = math.hypot(a.coords[0] - b.coords[0], a.coords[1] - b.coords[1])
+            ell = dom.internal_distance(a, b)
+            assert chord - 1e-12 <= ell <= dom.boundary_arc_length(a, b) + 1e-12
+
+
+def test_chordarc_imports_no_scipy():
+    # the geodesic table needs numpy only; scipy costs most of the import time
+    tree = ast.parse(Path(chordarc.__file__).read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [node.module or "" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)]
+    assert not [n for n in names if n.split(".")[0] == "scipy"]
 
 
 # -- sampled constants --------------------------------------------------------------

@@ -117,17 +117,6 @@ def test_invert_lift_roundtrip(families, name):
         assert m.eval_lift(t) == pytest.approx(v, abs=1e-9)
 
 
-def test_bisection_inverse_fallback():
-    # drop the closed-form inverse to force monotone bisection
-    ref = catalog()["power"]
-    m = CircleHomeomorphism(kind=ref.kind, params=ref.params,
-                            base_point_image=ref.base_point_image,
-                            inverse_tolerance=1e-12, _lift=ref._lift,
-                            _inverse=None)
-    for v in (0.1, 1.0, 3.0, 6.0):
-        assert m.invert_lift(v) == pytest.approx(ref.invert_lift(v), abs=1e-10)
-
-
 def test_invert_lift_domain_guard(identity):
     with pytest.raises(DomainError):
         identity.invert_lift(7.0)

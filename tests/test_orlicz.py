@@ -90,9 +90,10 @@ def test_log_grid_positive_increasing():
 
 def test_legendre_identity_residual():
     # Psi(t) = t psi(t) - Phi(psi(t)) ties the quadrature to the inversion
-    pair = complementary_pair(log_weighted_square(1.0))
-    for t in (0.3, 3.7, 40.0):
-        assert pair.legendre_residual(t) < 1e-8
+    for lam in (-0.9, -0.5, 0.0, 1.0, 2.0):
+        pair = complementary_pair(log_weighted_square(lam))
+        for t in (1e-6, 0.3, 3.7, 40.0, 1e4):
+            assert pair.legendre_residual(t) < 1e-8, (lam, t)
 
 
 def test_psi_is_generalized_inverse():
