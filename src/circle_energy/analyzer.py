@@ -59,7 +59,7 @@ class AnalysisConfig:
         if not self.lambdas:
             raise ValidationError("lambda list must be non-empty")
         for lam in self.lambdas:
-            if lam <= -1.0:
+            if not -1.0 < lam < math.inf:
                 raise ValidationError(
                     f"lambda = {lam} rejected: the exponent range is the open "
                     "interval (-1, inf); the endpoint -1 is excluded")
@@ -114,13 +114,14 @@ def _entry(cond: str, shared, lam: float, config: AnalysisConfig) -> dict:
     return report_io.energy_entry(rep)
 
 
-def _group_entries(conds, mapping, ext, config: AnalysisConfig) -> dict:
+def _group_entries(conds, mapping, config: AnalysisConfig) -> dict:
     """(condition, lambda) -> entry for one group of conditions.
 
-    The group's lambda-free work (the extension's Whitney field, the (iii)
-    kernel, or the (iv)/(v) reports of one lift) is done once and released on
-    return.  If a guard rejects it, every entry of the group fails with the
-    guard's message; a failure at one lambda leaves the other lambdas' entries.
+    The group's lambda-free work (the harmonic extension, whose Whitney field
+    its first entry builds and caches for the others; the (iii) kernel; or the
+    (iv)/(v) reports of one lift) is done once and released on return.  If a
+    guard rejects it, every entry of the group fails with the guard's message;
+    a failure at one lambda leaves the other lambdas' entries.
     """
     lams = config.lambdas
     try:
@@ -131,7 +132,8 @@ def _group_entries(conds, mapping, ext, config: AnalysisConfig) -> dict:
             shared = dyadic_reports(mapping, config.j_dyadic,
                                     [(c, lam) for c in conds for lam in lams])
         else:
-            shared = ext
+            shared = HarmonicExtension(mapping, n_boundary=config.n_boundary,
+                                       gauss_order=config.gauss_order)
     except CircleEnergyError as exc:
         return {(c, lam): report_io.failed_entry(_MODULE_OF[c], exc)
                 for c in conds for lam in lams}
@@ -176,17 +178,11 @@ def _verdict(conds: dict) -> str:
 def analyze(config: AnalysisConfig) -> dict:
     """Run the configured conditions and return (and optionally write) the report."""
     mapping = config.build_map()
-    ext = None
-    if "i" in config.conditions or "ii" in config.conditions:
-        ext = HarmonicExtension(mapping, n_boundary=config.n_boundary,
-                                gauss_order=config.gauss_order)
-        ext._whitney_field(config.j_disk)   # one field serves every lambda
-
     entries = {}
     for group in _GROUPS:
         conds = [c for c in group if c in config.conditions]
         if conds:
-            entries.update(_group_entries(conds, mapping, ext, config))
+            entries.update(_group_entries(conds, mapping, config))
     results = {}
     for lam in config.lambdas:
         conds = {cond: entries[cond, lam] for cond in config.conditions}

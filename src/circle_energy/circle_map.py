@@ -95,6 +95,16 @@ def _cantor_value(i: int, stage: int) -> float:
     return value
 
 
+def _finite(value) -> bool:
+    """False if value, or a number in its nested lists, is nan or infinite."""
+    try:
+        return bool(np.isfinite(np.asarray(value, dtype=complex)).all())
+    except OverflowError:
+        return False    # an integer beyond the largest double
+    except (TypeError, ValueError):
+        return True     # not numeric: the family's own checks reject it
+
+
 def _require(p: dict, key: str, kind: str):
     if key not in p:
         raise ValidationError(f"{kind} requires param {key!r}")
@@ -223,6 +233,8 @@ class CircleHomeomorphism:
     def create(kind: str, params: dict | None = None, *,
                base_point_image_angle: float = 0.0) -> "CircleHomeomorphism":
         p = dict(params or {})
+        if not all(map(_finite, [*p.values(), base_point_image_angle])):
+            raise ValidationError(f"{kind} params and base point angle must be finite")
         lift, inv, prm, extra = _build_family(kind, p)
         if p:
             raise ValidationError(f"unknown {kind} params {sorted(p)}")

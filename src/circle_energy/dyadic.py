@@ -146,11 +146,7 @@ def whitney_cell(j: int, k: int) -> WhitneyCell:
 
 def whitney_cells_up_to(max_level: int) -> list[WhitneyCell]:
     check_level(max_level, MAX_INDUCER_LEVEL)
-    cells = []
-    for j in range(1, max_level + 1):
-        for k in range(1, 2 ** j + 1):
-            cells.append(whitney_cell(j, k))
-    return cells
+    return [whitney_cell(j, k) for j in range(1, max_level + 1) for k in range(1, 2 ** j + 1)]
 
 
 def whitney_covering_constant(max_level: int) -> float:
@@ -187,10 +183,10 @@ def annular_decomposition(seed: DyadicArc) -> AnnularDecomposition:
     """Decompose the circle around `seed` into its brother and coarser arcs.
 
     Starting from the seed/brother pair (their union is the parent arc), each
-    coarser level n receives on each side the unique level-n arc meeting the
-    current front in a single point, plus - only when that mandatory arc and
-    its anticlockwise (resp. clockwise) neighbour share a parent - that
-    neighbour, which lands the front on the level-(n-1) grid.  The recursion
+    coarser level n receives on each side, anticlockwise first, the unique
+    level-n arc meeting the covered range in a single point, plus - only when
+    that mandatory arc's sibling lies further out on the same side - the
+    sibling, which lands the front on the level-(n-1) grid.  The recursion
     stops once the two fronts meet; an arc is never added beyond the
     remaining uncovered gap, so the result is an exact cover.
     """
@@ -201,50 +197,25 @@ def annular_decomposition(seed: DyadicArc) -> AnnularDecomposition:
     members: list[DyadicArc] = [seed, brother]
     flags: dict[DyadicArc, bool] = {seed: False, brother: False}
 
-    parent_left = min(seed.index, brother.index) - 1  # units of 2*pi/2**j
-    # fronts in units of the current level's arc width; gap counted the same way
-    front_r = parent_left + 2          # anticlockwise end of covered region
-    front_l = parent_left              # clockwise end
-    gap = 2 ** j - 2                   # uncovered cells at level j
+    # covered level-n arcs are the positions [lo, hi), taken cyclically mod 2**n;
+    # each level ends on the parent grid (even positions) until the cover closes
+    lo = min(seed.index, brother.index) - 1
+    hi = lo + 2
     terminal = j
-
     for n in range(j - 1, 0, -1):
-        front_r //= 2
-        front_l //= 2
-        gap //= 2
-        if gap == 0:
+        lo, hi, size = lo // 2, hi // 2, 2 ** n
+        if hi - lo == size:
             break
         terminal = n
-        size = 2 ** n
-
-        # anticlockwise side: arc starting at front_r
-        k = front_r % size + 1
-        members.append(DyadicArc(n, k))
-        flags[members[-1]] = False
-        front_r += 1
-        gap -= 1
-        if gap > 0 and k % 2 == 1:  # neighbour shares the parent: take it too
-            k2 = front_r % size + 1
-            members.append(DyadicArc(n, k2))
-            flags[members[-1]] = True
-            front_r += 1
-            gap -= 1
-
-        if gap > 0:
-            # clockwise side: arc ending at front_l
-            k = (front_l - 1) % size + 1
-            members.append(DyadicArc(n, k))
-            flags[members[-1]] = False
-            front_l -= 1
-            gap -= 1
-            if gap > 0 and k % 2 == 0:  # same-parent neighbour sits clockwise
-                k2 = (front_l - 1) % size + 1
-                members.append(DyadicArc(n, k2))
-                flags[members[-1]] = True
-                front_l -= 1
-                gap -= 1
-        if gap == 0:
-            break
+        for step in (1, -1):
+            p = hi if step == 1 else lo - 1
+            for q in (p, p ^ 1) if p ^ 1 == p + step else (p,):
+                if hi - lo == size:
+                    break
+                arc = DyadicArc(n, q % size + 1)
+                members.append(arc)
+                flags[arc] = q != p
+                lo, hi = (lo, q + 1) if step == 1 else (q, hi)
 
     return AnnularDecomposition(
         seed=seed,
@@ -277,8 +248,4 @@ def inducers(target: DyadicArc, j: int) -> list[DyadicArc]:
     check_level(j, MAX_INDUCER_LEVEL, minimum=2)
     if j < target.level:
         raise DomainError("seed level must be >= target level")
-    out = []
-    for seed in arcs_at_level(j):
-        if target in annular_decomposition(seed).members:
-            out.append(seed)
-    return out
+    return [seed for seed in arcs_at_level(j) if target in annular_decomposition(seed).members]

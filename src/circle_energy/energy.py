@@ -83,6 +83,8 @@ def make_report(condition: str, lam: float, J: int, levels, per_level,
                 total: float | None = None) -> EnergyReport:
     levels = tuple(int(j) for j in levels)
     per_level = tuple(float(s) for s in per_level)
+    if not all(map(math.isfinite, per_level)):
+        raise NumericalError(f"non-finite ({condition}) level term at lambda={lam}")
     cum, run = [], []
     for s in per_level:
         run.append(s)

@@ -4,6 +4,8 @@ The split matters for the CLI exit-code contract: validation problems exit
 with 1, numerical failures with 2, invariant-suite failures with 3.
 """
 
+import math
+
 
 class CircleEnergyError(Exception):
     """Base class for package errors."""
@@ -36,8 +38,8 @@ class InsufficientDataError(CircleEnergyError, ValueError):
 def check_lambda(lam) -> float:
     """lam as a float; the exponent range is the open interval (-1, inf)."""
     lam = float(lam)
-    if not lam > -1.0:
-        raise DomainError(f"lambda must exceed -1, got {lam}")
+    if not -1.0 < lam < math.inf:
+        raise DomainError(f"lambda must be finite and exceed -1, got {lam}")
     return lam
 
 

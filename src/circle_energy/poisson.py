@@ -97,7 +97,7 @@ class HarmonicExtension:
         self._phi = map_.base_point_image * np.exp(1j * lift)
         self._dtheta = TWO_PI / self.n_boundary
         self._masses = np.diff(map_.lift_values(edges))  # Stieltjes cell masses
-        self._field_cache: dict[int, dict] = {}
+        self._field_cache: dict[int, list] = {}
 
     # -- point evaluation ------------------------------------------------
 
@@ -142,11 +142,13 @@ class HarmonicExtension:
 
     # -- Whitney-grid derivative field ------------------------------------
 
-    def _whitney_field(self, J: int) -> dict:
-        """Gauss nodes, polar weights and |Dh| on all cells with level <= J.
+    def _whitney_field(self, J: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(|Dh|, polar weights, Gauss radii) of each level j = 1..J.
 
-        Each level is evaluated ring by ring with the spectral formula of
-        the module docstring (`_ring_derivatives`), which equals the direct
+        With g = gauss_order, |Dh| and the weights are shaped (2^j g, g): row
+        m g + a is Gauss angle a of cell m + 1, column b the b-th of the g
+        radii.  Each level is evaluated ring by ring with the spectral formula
+        of the module docstring (`_ring_derivatives`), which equals the direct
         kernel sum of `_derivative_batch` at the same nodes up to rounding.
         """
         check_level(J, MAX_WHITNEY_J, what="Whitney depth")
@@ -155,29 +157,16 @@ class HarmonicExtension:
 
         gx, gw = np.polynomial.legendre.leggauss(self.gauss_order)
         coeffs = self._ring_coefficients()
-        levels, norms = [], []
+        field = []
         for j in range(1, J + 1):
             c0 = whitney_cell(j, 1)
             r = 0.5 * (c0.r_outer + c0.r_inner) + 0.5 * (c0.r_outer - c0.r_inner) * gx
             wr = 0.5 * (c0.r_outer - c0.r_inner) * gw
             half = math.pi / 2 ** j
             t0 = half * (gx + 1.0)          # nodes in the first cell [0, 2*half]
-            wt = half * gw
-            offsets = TWO_PI * np.arange(2 ** j) / 2 ** j
-            theta = (offsets[:, None] + t0[None, :]).ravel()
-            # node layout: theta-major, r-minor -> shape (cells*g_t, g_r)
-            z = r[None, :] * np.exp(1j * theta)[:, None]
-            w = (np.tile(wt, 2 ** j)[:, None] * (wr * r)[None, :]).ravel()
-            levels.append((j, z.ravel(), w))
-            norms.append(operator_norm(*self._ring_derivatives(coeffs, j, r, t0)).ravel())
-
-        zs = np.concatenate([z for _, z, _ in levels])
-        field = {"levels": [], "radius": np.abs(zs), "norm": np.concatenate(norms)}
-        pos = 0
-        for j, z, w in levels:
-            field["levels"].append({"j": j, "slice": slice(pos, pos + z.size),
-                                    "weights": w})
-            pos += z.size
+            w = np.tile(half * gw, 2 ** j)[:, None] * (wr * r)[None, :]
+            norm = operator_norm(*self._ring_derivatives(coeffs, j, r, t0))
+            field.append((norm.reshape(w.shape), w, r))
         self._field_cache[J] = field
         return field
 
@@ -212,29 +201,21 @@ class HarmonicExtension:
 
     def _energy(self, condition: str, lam: float, J: int) -> EnergyReport:
         check_lambda(lam)
-        field = self._whitney_field(J)
-        norm = field["norm"]
-        radius = field["radius"]
         per_level = []
-        for lev in field["levels"]:
-            j, sl, w = lev["j"], lev["slice"], lev["weights"]
-            nn = norm[sl]
+        for j, (norm, w, r) in enumerate(self._whitney_field(J), start=1):
             if condition == "i":
-                weight = np.log(math.e + nn) ** lam
+                weight = np.log(math.e + norm) ** lam
             else:
-                logw = np.log(2.0 / (1.0 - radius[sl]))
-                self._check_ii_weight(j, logw, lam)
+                logw = np.log(2.0 / (1.0 - r))
+                self._check_ii_weight(j, logw)
                 weight = logw ** lam
-            vals = nn * nn * weight * w
-            per_level.append(math.fsum(vals.tolist()))
-        if not np.all(np.isfinite(per_level)):
-            raise NumericalError(f"non-finite energy contributions at J={J}")
+            per_level.append(math.fsum((norm * norm * weight * w).ravel().tolist()))
         return make_report(condition, lam, J, range(1, J + 1), per_level)
 
     @staticmethod
-    def _check_ii_weight(j: int, logw: np.ndarray, lam: float) -> None:
-        # log(2/(1-|z|)) must sit in [j ln 2, (j+1) ln 2] on cell nodes, which
-        # makes the weight uniformly comparable to j^lam
+    def _check_ii_weight(j: int, logw: np.ndarray) -> None:
+        # log(2/(1-r)) must sit in [j ln 2, (j+1) ln 2] at the Gauss radii,
+        # which makes the weight uniformly comparable to j^lam
         lo, hi = j * math.log(2.0), (j + 1) * math.log(2.0)
         if np.any(logw < lo - 1e-9) or np.any(logw > hi + 1e-9):
             raise NumericalError(

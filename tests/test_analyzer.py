@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +34,9 @@ def test_lambda_endpoint_rejected_with_open_interval_message():
         quick_config(lambdas=(-2.0, 0.0))
     with pytest.raises(ValidationError):
         quick_config(lambdas=())
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            quick_config(lambdas=(0.0, lam))
 
 
 def test_condition_subset_validation():
@@ -136,6 +140,36 @@ def test_failed_conditions_never_give_a_consistent_verdict(monkeypatch):
         assert block["conditions"][cond]["status"] == "failed"
         assert "exceeds guard" in block["conditions"][cond]["error"]
     assert block["verdict"] == "mixed/flagged"
+
+
+def test_disk_group_guard_fails_its_entries_only(monkeypatch):
+    import circle_energy.analyzer as analyzer_mod
+
+    def guarded(*args, **kwargs):
+        raise ResourceGuardError("Whitney depth 13 exceeds guard 12")
+
+    monkeypatch.setattr(analyzer_mod, "HarmonicExtension", guarded)
+    doc = analyze(quick_config(conditions=("i", "ii", "iv")))
+    for block in doc["results"].values():
+        for cond in ("i", "ii"):
+            assert block["conditions"][cond]["module"] == "poisson"
+            assert "exceeds guard" in block["conditions"][cond]["error"]
+        assert block["conditions"]["iv"]["status"] == "ok"
+
+
+def test_non_finite_lift_gives_no_ok_entry():
+    # t * beta overflows, so the lift is inf / inf = nan away from t = 0
+    spec = {"kind": "log_singular", "params": {"beta": 1e308}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        doc = analyze(quick_config(map_spec=spec))
+    entries = [e for block in doc["results"].values() for e in block["conditions"].values()]
+    assert len(entries) == 10
+    assert {e["status"] for e in entries} == {"failed"}
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    json.loads(report.render_report(doc), parse_constant=reject)
 
 
 def test_float_overflow_is_a_failed_entry():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -199,6 +200,23 @@ def test_parameter_range_guards():
         CircleHomeomorphism.create("smoothed_cantor", {"stage": 3, "floor": 1.5})
     with pytest.raises(ValidationError):
         CircleHomeomorphism.create("identity", {"p": 1.0})
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "rotation", "params": {"c": NaN}}',
+    '{"kind": "identity", "base_point_image_angle": NaN}',
+    '{"kind": "power", "params": {"p": 2.0}, "base_point_image_angle": -Infinity}',
+    '{"kind": "power", "params": {"p": Infinity}}',
+    '{"kind": "log_singular", "params": {"beta": Infinity}}',
+    '{"kind": "mobius_trace", "params": {"a": NaN}}',
+    '{"kind": "mobius_trace", "params": {"a": [0.5, NaN]}}',
+    '{"kind": "piecewise_linear", "params": {"knots": '
+    '[[0, 0], [NaN, 3], [6.283185307179586, 6.283185307179586]]}}',
+])
+def test_non_finite_map_parameters_rejected(text):
+    # json.loads reads NaN and Infinity; the map is refused before any lift
+    with pytest.raises(ValidationError, match="must be finite"):
+        CircleHomeomorphism.from_spec(json.loads(text))
 
 
 def test_piecewise_linear_knot_validation():

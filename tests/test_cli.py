@@ -53,6 +53,20 @@ def test_out_of_range_levels_rejected_before_any_work(capsys):
     assert captured.out == ""
 
 
+def test_non_finite_inputs_exit_1_before_any_output(tmp_path, capsys):
+    for lam in ("inf", "nan", "-inf"):
+        args = ["analyze", "--map", "identity", "--lambda", lam,
+                "--conditions", "iii,iv,v", "--levels", "6"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "lambda" in captured.err
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "rotation", "params": {"c": NaN}}')
+    assert main(["analyze", "--map", str(spec), "--conditions", "iv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_negative_lambda_value_in_space_separated_form(capsys):
     # "-0.5,0" must parse as the flag's value, not as an unknown option
     code = main(["analyze", "--map", "identity", "--lambda", "-0.5,0",

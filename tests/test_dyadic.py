@@ -124,6 +124,30 @@ def test_annular_decomposition_exact_reference_set():
     assert got == expected
 
 
+def test_annular_decomposition_order_and_flags():
+    dec = annular_decomposition(DyadicArc(4, 7))
+    got = [(a.level, a.index, dec.optional_flags[a]) for a in dec.members]
+    assert got == [(4, 7, False), (4, 8, False), (3, 5, False), (3, 6, True),
+                   (3, 3, False), (2, 4, False), (2, 1, False)]
+    assert dec.terminal_level == 2
+
+
+def test_annular_decomposition_tiles_once_with_sibling_flags():
+    for j in range(2, 11):
+        for k in range(1, 2 ** j + 1):
+            dec = annular_decomposition(DyadicArc(j, k))
+            # level-j cells [start, end) of each member chain from 0 to 2**j
+            spans = sorted(((a.index - 1) << (j - a.level), a.index << (j - a.level))
+                           for a in dec.members)
+            assert [s for s, _ in spans] == [0] + [e for _, e in spans[:-1]], (j, k)
+            assert spans[-1][1] == 2 ** j, (j, k)
+            for prev, arc in zip(dec.members, dec.members[1:]):
+                if dec.optional_flags[arc]:
+                    assert not dec.optional_flags[prev], (j, k)
+                    assert prev.level == arc.level, (j, k)
+                    assert (arc.index - 1) ^ 1 == prev.index - 1, (j, k)
+
+
 def test_annular_decomposition_contains_seed_and_brother():
     seed = DyadicArc(6, 17)
     dec = annular_decomposition(seed)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from circle_energy.circle_map import identity_map
 from circle_energy.errors import DomainError, NumericalError, ResourceGuardError
 from circle_energy.logkernel import (band_weight, interval_weight,
                                      lambda_weight, log_energy_direct,
@@ -64,6 +65,11 @@ def test_weight_domain_guards():
         interval_weight(0.5, 0.1, 0.0)
     with pytest.raises(DomainError):
         band_weight(0, 0.0)
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            band_weight(3, lam)
+        with pytest.raises(DomainError):
+            log_energy_dyadic(identity_map(), lam, 8)
 
 
 # -- sublevel measures ----------------------------------------------------------

@@ -145,6 +145,11 @@ def _whitney_nodes(J, g):
     return np.concatenate(nodes)
 
 
+def _flat_norm(field):
+    """|Dh| of every level, flattened in the node order of `_whitney_nodes`."""
+    return np.concatenate([norm.ravel() for norm, _, _ in field])
+
+
 # N_b not a power of two; 2^j > N_b at level 9; 2^j dividing N_b
 @pytest.mark.parametrize("n_boundary, J", [(1000, 8), (256, 9), (2 ** 10, 8)])
 def test_spectral_field_matches_direct_sum(families, n_boundary, J):
@@ -153,9 +158,11 @@ def test_spectral_field_matches_direct_sum(families, n_boundary, J):
         ext = HarmonicExtension(families[name], n_boundary=n_boundary)
         field = ext._whitney_field(J)
         direct = operator_norm(*ext._derivative_batch(_whitney_nodes(J, ext.gauss_order)))
-        np.testing.assert_allclose(field["norm"], direct, rtol=1e-9, atol=0, err_msg=name)
+        np.testing.assert_allclose(_flat_norm(field), direct, rtol=1e-9, atol=0, err_msg=name)
         oracle = HarmonicExtension(families[name], n_boundary=n_boundary)
-        oracle._field_cache[J] = dict(field, norm=direct)
+        cuts = np.cumsum([w.size for _, w, _ in field])[:-1]
+        oracle._field_cache[J] = [(d.reshape(w.shape), w, r)
+                                  for d, (_, w, r) in zip(np.split(direct, cuts), field)]
         for lam in (-0.5, 0.0, 1.0):
             for cond in ("energy_i", "energy_ii"):
                 got = getattr(ext, cond)(lam, J=J).per_level
@@ -170,7 +177,7 @@ def test_identity_deep_field_oracle(identity):
     ext = HarmonicExtension(identity, n_boundary=2 ** 18)
     rep = ext.energy_i(0.0, J=12)
     assert rep.total == pytest.approx(math.pi * (1.0 - 2.0 ** -12) ** 2, rel=1e-12)
-    norm = ext._whitney_field(12)["norm"]
+    norm = _flat_norm(ext._whitney_field(12))
     assert norm.size == ext.gauss_order ** 2 * (2 ** 13 - 2)
     assert np.max(np.abs(norm - 1.0)) < 1e-10
 
