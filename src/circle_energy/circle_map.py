@@ -352,7 +352,9 @@ def catalog() -> dict[str, CircleHomeomorphism]:
 
     The parameters are chosen so the family spans clearly bi-Lipschitz maps,
     maps with a vanishing or exploding boundary density, and a singular-ish
-    self-similar map, giving both convergent and divergent energies.
+    self-similar map.  None of them has a divergent energy: at the fixture
+    config every map is all-finite-consistent at every lambda in
+    {-0.5, 0, 1, 2}.  Divergent examples are ROADMAP item 1.
     """
     return {
         "identity": identity_map(),

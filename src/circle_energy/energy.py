@@ -7,8 +7,16 @@ is summable with explicit bounds.
 
 The lift is evaluated once per call, at the level-J edges, which hold every
 level's edges bit for bit, and one call serves any number of (condition,
-lambda) tasks.  Sums are exact binned integer sums (Neal, arXiv:1505.05571)
-rounded once, half to even, as math.fsum rounds, so they equal its.  A
+lambda) tasks.  Each level's lengths are split by chi, and each part is summed
+by numpy's pairwise np.sum: blocks of at most 128 terms in 8 partial sums,
+longer arrays halved.  For n <= 2**21 terms no term passes through more than
+k = ceil(log2 n) + 17 roundings (checked for every such n against that
+splitting rule), so a sum of nonnegative terms lies within
+gamma_k = k u / (1 - k u), u = 2**-53, relative of its exact value.  The (iv)
+weight j**lambda is constant on a level and scales the two part sums once; a
+level term adds them, and P1 and P2 are the math.fsum of their parts over the
+levels.  So every level term, P1, P2 and total of a depth-J sum lies within
+gamma_(J+20), 4.4e-15 at J = 20, of the exact sum of its computed terms.  A
 report's total is P1 + P2 of its chi-split, so the partition identity is exact.
 """
 
@@ -20,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_map import TWO_PI, CircleHomeomorphism
-from .errors import (DomainError, InsufficientDataError, NumericalError, ResourceGuardError,
-                     check_lambda, check_level, checked_pow)
+from .errors import (DomainError, InsufficientDataError, NumericalError, check_lambda,
+                     check_level, checked_pow)
 
 MAX_J = 20
-_E_BINS = 2098            # np.frexp exponents of finite doubles: -1073..1024
-_UNIT = 1 << 1126         # exact sums are integers n worth n / _UNIT = n * 2**-1126
+_BLOCK_ROUNDINGS = 17   # np.sum of n <= 2**21 terms: k <= ceil(log2 n) + 17
 DEFAULT_SLOPE_EPS = 0.05
 
 CONVERGENT = "convergent"
@@ -104,41 +111,28 @@ def make_report(condition: str, lam: float, J: int, levels, per_level,
 # ---------------------------------------------------------------------------
 
 
-def _exact_split_sums(terms: np.ndarray, chi: np.ndarray) -> tuple[int, int]:
-    """Exact sums of terms[~chi] and terms[chi], as integers in units of 2**-1126.
-
-    np.frexp gives f * 2**e with 0.5 <= |f| < 1; the integer f * 2**53 is cut into
-    hi * 2**26 + lo with |hi| <= 2**27 and 0 <= lo < 2**26.  np.bincount sums the
-    halves per (chi, e) bin, each sum below 2**53 for at most 2**26 terms, hence
-    exact in any order; the bins are then shifted into Python integers.
-    """
-    if terms.size > 2 ** 26:
-        raise ResourceGuardError(f"{terms.size} terms exceed the exact-sum guard 2**26")
-    if not np.all(np.isfinite(terms)):
+def _finite(*sums: float) -> tuple[float, ...]:
+    if not all(map(math.isfinite, sums)):
         raise NumericalError("non-finite term in a dyadic energy sum")
-    lo, e = np.frexp(terms)
-    lo *= 2.0 ** 27
-    hi = np.floor(lo)
-    lo -= hi
-    lo *= 2.0 ** 26
-    key = chi * np.intp(_E_BINS)
-    key += e
-    key += 1073
-    his = np.bincount(key, weights=hi, minlength=2 * _E_BINS)
-    los = np.bincount(key, weights=lo, minlength=2 * _E_BINS)
-    parts = [0, 0]
-    for b in np.flatnonzero((his != 0) | (los != 0)).tolist():
-        c, k = divmod(b, _E_BINS)
-        parts[c] += ((int(his[b]) << 26) + int(los[b])) << k
-    return parts[0], parts[1]
+    return sums
+
+
+def _part_sums(parts) -> tuple[float, ...]:
+    """The pairwise np.sum of each part, within the module docstring's bound."""
+    with np.errstate(over="ignore"):
+        return _finite(*(float(np.sum(p)) for p in parts))
 
 
 def _level_sums(map_: CircleHomeomorphism, J: int, tasks) -> dict:
-    """Exact (chi = 0, chi = 1) level sums for every (condition, lambda) task.
+    """(chi = 0, chi = 1) level sums for every (condition, lambda) task.
 
-    Per level the lengths, chi and log(e + l * 2**j) are formed once; a weight
-    of exactly 1 (lambda = 0) reuses the plain sums of l**2.  A task meeting a
-    non-finite term gets its NumericalError in place of its sums.
+    Per level the lengths are split once by chi into two contiguous parts,
+    and l**2 and, for a weighted (v) task, log(e + l * 2**j) are formed once
+    per part.  One pairwise sum of l**2 per part serves every (iv) task,
+    scaled by its constant weight j**lambda, and every lambda = 0 task; each
+    weighted (v) task sums its own l**2 * log**lambda per part.  So a task's
+    sums do not depend on the other tasks of the call.  A task meeting a
+    non-finite sum gets its NumericalError in place of its sums.
     """
     check_level(J, MAX_J, minimum=0, what="J")
     for condition, lam in tasks:
@@ -156,39 +150,34 @@ def _level_sums(map_: CircleHomeomorphism, J: int, tasks) -> dict:
         if j == J:
             del lift   # its last use: free it before the largest level's sums
         chi = lengths > 2.0 ** (-0.75 * j)
+        parts = (lengths[~chi], lengths[chi])
+        del lengths, chi
         if weighted_v:
-            logs = np.log(lengths * 2.0 ** j + math.e)
-        sq = np.multiply(lengths, lengths, out=lengths)   # l**2, in the lengths' buffer
-        terms = np.empty_like(sq)
+            logs = [np.log(p * 2.0 ** j + math.e) for p in parts]
+        sq = [np.multiply(p, p, out=p) for p in parts]   # l**2, in the parts' buffers
         plain = None
         for (condition, lam), sums in out.items():
             if isinstance(sums, NumericalError):
                 continue
             try:
-                if lam == 0.0:
+                if condition == "iv" or lam == 0.0:
                     if plain is None:
-                        plain = _exact_split_sums(sq, chi)
-                    sums.append(plain)
+                        plain = _part_sums(sq)
+                    w = checked_pow(float(j), lam) if condition == "iv" else 1.0
+                    sums.append(_finite(w * plain[0], w * plain[1]))
                     continue
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if condition == "iv":
-                        np.multiply(sq, checked_pow(float(j), lam), out=terms)
-                    else:
-                        np.power(logs, lam, out=terms)
-                        terms *= sq
-                sums.append(_exact_split_sums(terms, chi))
+                    terms = [np.power(lg, lam) for lg in logs]
+                    for t, p in zip(terms, sq):
+                        t *= p
+                sums.append(_part_sums(terms))
             except NumericalError as exc:
                 out[condition, lam] = exc
     return out
 
 
-def _rounded(*exact: int) -> tuple[float, ...]:
-    # int / int rounds once, to nearest with ties to even, as math.fsum does
-    return tuple(n / _UNIT for n in exact)
-
-
-def _split(sums: list[tuple[int, int]]) -> tuple[float, float]:
-    return _rounded(sum(s[1] for s in sums), sum(s[0] for s in sums))
+def _split(sums: list[tuple[float, float]]) -> tuple[float, float]:
+    return math.fsum(s[1] for s in sums), math.fsum(s[0] for s in sums)
 
 
 def dyadic_reports(map_: CircleHomeomorphism, J: int, tasks) -> dict:
@@ -198,7 +187,7 @@ def dyadic_reports(map_: CircleHomeomorphism, J: int, tasks) -> dict:
     level guards raise for the whole call.
     """
     return {(c, lam): sums if isinstance(sums, NumericalError) else make_report(
-                c, lam, J, range(1, J + 1), _rounded(*(n0 + n1 for n0, n1 in sums)),
+                c, lam, J, range(1, J + 1), [s0 + s1 for s0, s1 in sums],
                 total=sum(_split(sums)))
             for (c, lam), sums in _level_sums(map_, J, tasks).items()}
 
@@ -224,8 +213,9 @@ def comparability_split(map_: CircleHomeomorphism, lam: float, J: int,
                         condition: str = "iv") -> tuple[float, float]:
     """(P1, P2): the chi = 1 and chi = 0 parts of the (iv) or (v) sum.
 
-    Each part is its exact sum rounded once, and the matching report's total
-    is P1 + P2 of these same two floats, so the identity holds exactly.
+    Each part is the math.fsum of its per-level pairwise sums, within the
+    module docstring's bound, and the matching report's total is P1 + P2 of
+    these same two floats, so the identity holds exactly.
     The chi = 0 part is controlled explicitly: every such term has
     l <= 2**(-3j/4), so P2 <= sum_j j^lambda 2**(-j/2) for (iv) and, for
     lambda <= 0, P2' <= sum_j 2**(-j/2) for (v).
