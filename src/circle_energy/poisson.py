@@ -157,6 +157,10 @@ class HarmonicExtension:
 
         gx, gw = np.polynomial.legendre.leggauss(self.gauss_order)
         coeffs = self._ring_coefficients()
+        # one (g, N_b) workspace for all levels: arrays this large, allocated
+        # per level, are handed back to the system and faulted in again
+        work = (np.empty((self.gauss_order, self.n_boundary)),
+                np.empty((2, self.gauss_order, self.n_boundary), dtype=complex))
         field = []
         for j in range(1, J + 1):
             c0 = whitney_cell(j, 1)
@@ -165,7 +169,7 @@ class HarmonicExtension:
             half = math.pi / 2 ** j
             t0 = half * (gx + 1.0)          # nodes in the first cell [0, 2*half]
             w = np.tile(half * gw, 2 ** j)[:, None] * (wr * r)[None, :]
-            norm = operator_norm(*self._ring_derivatives(coeffs, j, r, t0))
+            norm = operator_norm(*self._ring_derivatives(coeffs, j, r, t0, work))
             field.append((norm.reshape(w.shape), w, r))
         self._field_cache[J] = field
         return field
@@ -177,24 +181,26 @@ class HarmonicExtension:
         return np.fft.fft(psi, axis=-1) * (np.exp(-1j * math.pi * np.arange(n) / n) / n)
 
     def _ring_derivatives(self, coeffs: np.ndarray, j: int, r: np.ndarray,
-                          t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                          t0: np.ndarray, work: tuple) -> tuple[np.ndarray, np.ndarray]:
         """h_z, h_zbar at r_b e^{i(t0_a + 2 pi m/2^j)}, shaped (2^j, len(t0), len(r)).
 
-        One Gauss-angle row at a time, so the working set is O(len(r) N_b).
+        One Gauss-angle row at a time, so the working set is O(len(r) N_b):
+        the real and the two complex (len(r), N_b) arrays of `work`.
         """
         n, size = self.n_boundary, 2 ** j
         q = np.arange(n)
-        r_pow = r[:, None] ** q
+        r_pow, (z0_pow, beta) = work
+        np.power(r[:, None], q, out=r_pow)
         # (omega^m)^N, with the exponent reduced exactly in integers
         spin = np.exp(2j * math.pi * ((np.arange(size) * n) % size) / size)
         out = np.empty((2, size, t0.size, r.size), dtype=complex)
         for a, t in enumerate(t0):
-            z0_pow = r_pow * np.exp(1j * t * q)             # z0^q per Gauss radius
+            np.multiply(r_pow, np.exp(1j * t * q), out=z0_pow)  # z0^q per Gauss radius
             w = (r ** n * np.exp(1j * n * t))[:, None] * spin
             for s in range(2):
-                beta = coeffs[s] * z0_pow
+                np.multiply(coeffs[s], z0_pow, out=beta)
                 big_b = _fold_ifft(beta, size)
-                big_a = _fold_ifft((q + 1) * beta, size)
+                big_a = _fold_ifft(np.multiply(q + 1, beta, out=beta), size)
                 out[s, :, a, :] = (big_a / (1.0 + w)
                                    - n * w * big_b / (1.0 + w) ** 2).T
         return out[0], np.conj(out[1])

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circle_energy
 from circle_energy import report
 from circle_energy.chordarc import load_vertices
 from circle_energy.cli import main
@@ -183,3 +187,14 @@ def test_analyze_validates_each_report_once(tmp_path, capsys, monkeypatch):
                      "--conditions", "iv,v", *out]) == 0
         assert len(calls) == 1, out
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; a fresh interpreter shows what the
+    # CLI itself pulls in
+    src = str(Path(circle_energy.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import circle_energy.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, src], check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"

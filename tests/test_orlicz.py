@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import optimize, signal
 
 from circle_energy.circle_map import identity_map
-from circle_energy.errors import DomainError
-from circle_energy.orlicz import (GridField, check_kr_criterion,
-                                  complementary_pair, delta2_constant,
-                                  doubling_window, dyadic_radii,
-                                  field_from_extension, log_grid,
+from circle_energy.errors import DomainError, NumericalError
+from circle_energy.orlicz import (GridField, NFunction, _in_disk,
+                                  check_kr_criterion, complementary_pair,
+                                  delta2_constant, doubling_window,
+                                  dyadic_radii, field_from_extension,
+                                  gauss_legendre, log_grid,
                                   log_weighted_square, maximal_field,
                                   maximal_on_grid, orlicz_maximal_test,
                                   phi_lambda, phi_lambda_density)
@@ -104,6 +106,51 @@ def test_psi_is_generalized_inverse():
         assert dens(s) == pytest.approx(t, rel=1e-10)
 
 
+@pytest.mark.parametrize("lam", [-0.9, -0.5, 0.0, 1.0, 2.0])
+def test_psi_matches_brentq_reference(lam):
+    # scipy's Brent solver on the same bracket is a second route to psi
+    pair = complementary_pair(log_weighted_square(lam))
+    dens = pair.primal.density
+
+    def brent(t):
+        hi = 1.0
+        while dens(hi) <= t:
+            hi *= 2.0
+        lo = 0.0 if dens(hi / 2) > t else hi / 2
+        return optimize.brentq(lambda s: dens(s) - t, lo, hi,
+                               xtol=1e-300, rtol=8.9e-16)
+
+    ts = np.logspace(-8, 8, 200)
+    got = pair.psi(ts)
+    assert got.shape == ts.shape
+    np.testing.assert_allclose(got, [brent(t) for t in ts],
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert pair.psi(float(ts[57])) == got[57]
+
+
+def test_psi_and_complementary_accept_arrays():
+    pair = complementary_pair(log_weighted_square(1.0))
+    ts = np.array([[0.0, 0.5], [3.0, 50.0]])
+    np.testing.assert_array_equal(
+        pair.complementary(ts),
+        [[pair.complementary(float(t)) for t in row] for row in ts])
+    with pytest.raises(DomainError):
+        pair.psi(np.array([1.0, np.nan]))
+
+
+def test_gauss_legendre_error_estimate():
+    val, err = gauss_legendre(np.exp, 0.0, 1.0)
+    assert val == pytest.approx(math.e - 1.0, rel=1e-15) and err < 1e-15
+    # a density with a jump gives psi a flat stretch, whose kinks the
+    # rule cannot resolve; the residual refuses rather than answering
+    jump = NFunction(evaluate=lambda t: np.asarray(t) ** 2,
+                     density=lambda s: 2.0 * s + np.where(s > 1.0, 5.0, 0.0))
+    pair = complementary_pair(jump)
+    assert gauss_legendre(pair.psi, 0.0, 10.0)[1] > 1e-4
+    with pytest.raises(NumericalError):
+        pair.legendre_residual(10.0)
+
+
 def test_young_inequality_nonnegative():
     pair = complementary_pair(log_weighted_square(1.0))
     slack = pair.young_slack(np.geomspace(0.01, 100.0, 50), [0.5, 2.0, 5.0])
@@ -161,6 +208,25 @@ def test_maximal_disk_edge_tie():
     per_point = maximal_on_grid(gf, (float(cs[1]), float(cs[5])), [r])
     assert per_point == pytest.approx(2.0 / 23.0, rel=1e-12)
     assert maximal_field(gf, [r])[5, 1] == pytest.approx(per_point, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_maximal_field_matches_fftconvolve_reference(seed):
+    # scipy's fftconvolve ("same" mode) is a second route to the disk sums
+    gf = GridField(np.random.default_rng(seed).uniform(0, 3, (48, 48)),
+                   extent=1.25)
+    h = gf.cell_size
+    want = np.full((48, 48), -math.inf)
+    for r in dyadic_radii(1.25):
+        k = int(r / h) + 1
+        off = np.arange(-k, k + 1)
+        kernel = _in_disk((off[None, :] ** 2 + off[:, None] ** 2) * h * h, r)
+        kernel = kernel.astype(float)
+        num = signal.fftconvolve(gf.values, kernel, mode="same")
+        cnt = np.rint(signal.fftconvolve(np.ones((48, 48)), kernel, mode="same"))
+        np.maximum(want, num / np.maximum(cnt, 1), out=want)
+    np.testing.assert_allclose(maximal_field(gf), np.maximum(want, 0.0),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_maximal_dominates_field(spike_field):
