@@ -185,7 +185,8 @@ class HarmonicExtension:
         """h_z, h_zbar at r_b e^{i(t0_a + 2 pi m/2^j)}, shaped (2^j, len(t0), len(r)).
 
         One Gauss-angle row at a time, so the working set is O(len(r) N_b):
-        the real and the two complex (len(r), N_b) arrays of `work`.
+        `work` = (r^q, (z0^q, beta)), the real and the two complex arrays that
+        `_whitney_field` allocates once for all levels, each (len(r), N_b).
         """
         n, size = self.n_boundary, 2 ** j
         q = np.arange(n)
