@@ -4,9 +4,10 @@ A PolygonDomain is a simple, positively oriented closed polygon.  The
 internal distance between two boundary points is the length of the shortest
 path joining them inside the closed domain; on polygons this geodesic is a
 polyline whose interior corners occur only at reflex vertices.  The polygon
-caches one table of geodesic distances between its reflex vertices, so a
-blocked chord costs one visibility test per (endpoint, reflex vertex) pair
-and a minimum over the table.
+caches one table of geodesic distances between its reflex vertices.  Many
+pairs cost one visibility test for all chords, one for the blocked chords'
+(endpoint, reflex vertex) segments and a minimum over the table, run in row
+blocks of about 2^17 (segment, edge) entries so memory stays bounded.
 
 The chord-arc constant max ell(w1,w2)/|w1-w2| and its internal variant
 max ell(w1,w2)/lambda(w1,w2) are estimated by stratified pair sampling
@@ -28,6 +29,7 @@ from .errors import DomainError, InsufficientDataError, ValidationError
 
 _EPS = 1e-12
 _ON_BOUNDARY = 1e-9
+_BLOCK_ENTRIES = 2 ** 17   # (segment, edge) entries per visibility block
 
 
 def _cross(ux, uy, vx, vy):
@@ -104,11 +106,22 @@ class PolygonDomain:
         return BoundaryPoint(edge=edge, t=float(t), x=float(p[0]), y=float(p[1]), s=s)
 
     def point_at_arclength(self, s: float) -> BoundaryPoint:
-        s = float(s) % self.perimeter
-        edge = int(np.searchsorted(self.cum_lengths, s, side="right") - 1)
-        edge = min(edge, self.n - 1)
+        edge, t = self._edge_params(np.array([float(s)]))
+        return self.boundary_point(int(edge[0]), float(t[0]))
+
+    def points_at_arclength(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """(n, 2) coordinates and arc positions of the points at arc lengths s
+        (taken mod the perimeter), as `point_at_arclength` places each one."""
+        edge, t = self._edge_params(np.asarray(s, dtype=float))
+        return (self.vertices[edge] + t[:, None] * self._edge_vec[edge],
+                self.cum_lengths[edge] + t * self.edge_lengths[edge])
+
+    def _edge_params(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = s % self.perimeter
+        edge = np.minimum(np.searchsorted(self.cum_lengths, s, side="right") - 1,
+                          self.n - 1)
         t = (s - self.cum_lengths[edge]) / self.edge_lengths[edge]
-        return self.boundary_point(edge, min(max(t, 0.0), 1.0))
+        return edge, np.clip(t, 0.0, 1.0)
 
     @cached_property
     def reflex_vertices(self) -> np.ndarray:
@@ -152,8 +165,13 @@ class PolygonDomain:
 
         A segment is admissible iff it properly crosses no edge and the
         midpoint of each piece between the polygon vertices it passes
-        through is inside or on the boundary.
+        through is inside or on the boundary.  Rows are independent, and run
+        in blocks of at most _BLOCK_ENTRIES (segment, edge) entries.
         """
+        rows = max(1, _BLOCK_ENTRIES // self.n)
+        if len(starts) > rows:
+            return np.concatenate([self._segments_admissible(starts[i:i + rows], ends[i:i + rows])
+                                   for i in range(0, len(starts), rows)])
         v, w = self.vertices, self._next_vertices
         ex, ey = self._edge_vec[:, 0][None, :], self._edge_vec[:, 1][None, :]
         vx, vy = v[:, 0][None, :], v[:, 1][None, :]
@@ -210,26 +228,33 @@ class PolygonDomain:
         return min(d, self.perimeter - d)
 
     def internal_distance(self, w1: BoundaryPoint, w2: BoundaryPoint) -> float:
-        """Geodesic distance inside the closed polygon: the chord if admissible,
-        else min over i, k of |a r_i| + D[i, k] + |r_k b|, D the reflex table."""
-        a, b = w1.coords, w2.coords
-        chord = float(np.hypot(*(a - b)))
-        if chord < _EPS:
-            return 0.0
-        if self._segments_admissible(a[None, :], b[None, :])[0]:
-            return chord
+        """Geodesic distance inside the closed polygon (`internal_distances`)."""
+        return float(self.internal_distances(w1.coords[None, :], w2.coords[None, :])[0])
+
+    def internal_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Geodesic distances between the rows of (n, 2) boundary points a, b: the
+        chord if admissible, else min over i, k of |a r_i| + D[i, k] + |r_k b|."""
+        out = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+        out[out < _EPS] = 0.0
+        far = np.nonzero(out)[0]
+        blocked = far[~self._segments_admissible(a[far], b[far])]
+        if blocked.size == 0:
+            return out
         pts, table = self._reflex_graph
         m = len(pts)
         if m == 0:
             raise ValidationError(
                 "blocked chord in a polygon with no reflex vertices")
-        starts = np.repeat([a, b], m, axis=0)
-        ends = np.tile(pts, (2, 1))
+        starts = np.repeat(np.concatenate([a[blocked], b[blocked]]), m, axis=0)
+        ends = np.tile(pts, (2 * blocked.size, 1))
         reach = np.where(self._segments_admissible(starts, ends),
-                         np.hypot(*(starts - ends).T), np.inf).reshape(2, m)
-        out = float(np.min(reach[0][:, None] + table + reach[1][None, :]))
-        if not math.isfinite(out):
+                         np.hypot(*(starts - ends).T), np.inf).reshape(2, -1, m)
+        best = np.full(blocked.size, np.inf)
+        for i in range(m):      # one reflex vertex at a time: (pairs, m) memory
+            best = np.minimum(best, np.min(reach[0][:, i, None] + table[i] + reach[1], 1))
+        if not np.all(np.isfinite(best)):
             raise ValidationError("no admissible path found between boundary points")
+        out[blocked] = best
         return out
 
 
@@ -252,44 +277,34 @@ class PairSampler:
     min_offset_frac: float = 1e-4
     max_offset_frac: float = 0.05
 
-    def pairs(self, P: PolygonDomain) -> list[tuple[BoundaryPoint, BoundaryPoint]]:
+    def arclengths(self, P: PolygonDomain) -> tuple[np.ndarray, np.ndarray]:
+        """The arc lengths of both ends of every pair: uniform, then antipodal,
+        then straddling pairs by reflex vertex and growing offset."""
         rng = np.random.default_rng(self.seed)
-        out: list[tuple[BoundaryPoint, BoundaryPoint]] = []
         per = P.perimeter
         s1 = rng.uniform(0, per, self.n_uniform)
         s2 = rng.uniform(0, per, self.n_uniform)
-        for u, v in zip(s1, s2):
-            out.append((P.point_at_arclength(u), P.point_at_arclength(v)))
         base = rng.uniform(0, per, self.n_antipodal)
-        for u in base:
-            out.append((P.point_at_arclength(u), P.point_at_arclength(u + per / 2)))
         offs = per * np.geomspace(self.min_offset_frac, self.max_offset_frac,
                                   self.n_straddle)
-        for k in P.reflex_vertices:
-            sv = float(P.cum_lengths[k])
-            for d in offs:
-                out.append((P.point_at_arclength(sv - d),
-                            P.point_at_arclength(sv + d)))
-        return out
+        sv = P.cum_lengths[P.reflex_vertices][:, None]
+        return (np.concatenate([s1, base, (sv - offs).ravel()]),
+                np.concatenate([s2, base + per / 2, (sv + offs).ravel()]))
 
 
 def _ratio_max(P: PolygonDomain, sampler: PairSampler, internal: bool) -> float:
-    pairs = sampler.pairs(P)
-    best = 0.0
-    usable = 0
-    for w1, w2 in pairs:
-        chord = float(np.hypot(w1.x - w2.x, w1.y - w2.y))
-        if chord < 1e-9:
-            continue
-        usable += 1
-        ell = P.boundary_arc_length(w1, w2)
-        denom = P.internal_distance(w1, w2) if internal else chord
-        if denom > 0:
-            best = max(best, ell / denom)
+    (a, pos_a), (b, pos_b) = (P.points_at_arclength(s) for s in sampler.arclengths(P))
+    chord = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+    keep = chord >= 1e-9
+    usable = int(np.count_nonzero(keep))
     if usable < 1000:
         raise InsufficientDataError(
             f"sampler produced only {usable} usable pairs (need >= 1000)")
-    return best
+    d = np.abs(pos_a[keep] - pos_b[keep])
+    ell = np.minimum(d, P.perimeter - d)
+    denom = P.internal_distances(a[keep], b[keep]) if internal else chord[keep]
+    ok = denom > 0
+    return float(np.max(ell[ok] / denom[ok], initial=0.0))
 
 
 def chordarc_constant(P: PolygonDomain, sampler: PairSampler | None = None) -> float:

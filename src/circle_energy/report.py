@@ -13,8 +13,6 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import jsonschema
-
 from .energy import EnergyReport
 from .errors import ValidationError
 
@@ -116,13 +114,15 @@ def failed_entry(module: str, error: Exception | str) -> dict:
 @functools.cache
 def _validator():
     """The schema's validator, with the schema itself checked once."""
+    import jsonschema   # a third of the package import; only `analyze` needs it
     cls = jsonschema.validators.validator_for(REPORT_SCHEMA)
     cls.check_schema(REPORT_SCHEMA)
     return cls(REPORT_SCHEMA)
 
 
 def validate_report(doc: dict) -> None:
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator().iter_errors(doc))
     if error is not None:
         raise ValidationError(f"report failed schema validation: {error.message}")
 

@@ -336,15 +336,15 @@ def _suite_chordarc(seed: int = 0, **_) -> list[CheckResult]:
            not cusp.contains((0.5, 0.0), include_boundary=False))
 
     rng = np.random.default_rng(seed)
-    ok_tri = ok_sand = True
-    for _i in range(15):
-        a, b, c = (cusp.point_at_arclength(s)
-                   for s in rng.uniform(0, cusp.perimeter, 3))
-        ok_tri &= (cusp.internal_distance(a, c) <= cusp.internal_distance(a, b)
-                   + cusp.internal_distance(b, c) + 1e-9)
-        lam = cusp.internal_distance(a, b)
-        ok_sand &= (math.hypot(a.x - b.x, a.y - b.y) - 1e-12 <= lam
-                    <= cusp.boundary_arc_length(a, b) * (1 + 1e-6) + 1e-12)
+    xy, pos = cusp.points_at_arclength(rng.uniform(0, cusp.perimeter, 45))
+    a, b, c = xy[0::3], xy[1::3], xy[2::3]
+    d_ac, d_ab, d_bc = cusp.internal_distances(np.vstack([a, a, b]),
+                                               np.vstack([c, b, c])).reshape(3, 15)
+    arc = np.abs(pos[0::3] - pos[1::3])
+    ell = np.minimum(arc, cusp.perimeter - arc)
+    chord = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+    ok_tri = np.all(d_ac <= d_ab + d_bc + 1e-9)
+    ok_sand = np.all((chord - 1e-12 <= d_ab) & (d_ab <= ell * (1 + 1e-6) + 1e-12))
     _check(out, "chordarc", "triangle inequality and chord <= lambda <= ell",
            ok_tri and ok_sand)
 

@@ -20,6 +20,60 @@ L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0],
 # two notches cut down from the top edge y = 3; four reflex corners at y = 1
 ZIGZAG = [[0, 0], [5, 0], [5, 3], [4, 3], [4, 1], [3, 1], [3, 3], [2, 3],
           [2, 1], [1, 1], [1, 3], [0, 3]]
+# notches down from the top at x in [1, 2] and [5, 6], up from the bottom at
+# x in [3, 4]: a path from end to end winds round six reflex corners, and
+# (1, 1) sees (3, 2) only through (2, 1)
+COMB = [[0, 0], [3, 0], [3, 2], [4, 2], [4, 0], [7, 0], [7, 3], [6, 3], [6, 1],
+        [5, 1], [5, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]]
+
+
+def _reference_point(dom, s):
+    """The per-point boundary parametrization, one Python float at a time."""
+    s = float(s) % dom.perimeter
+    edge = min(int(np.searchsorted(dom.cum_lengths, s, side="right") - 1), dom.n - 1)
+    t = (s - dom.cum_lengths[edge]) / dom.edge_lengths[edge]
+    return dom.boundary_point(edge, min(max(t, 0.0), 1.0))
+
+
+def _reference_distance(dom, a, b):
+    """The per-pair geodesic: the chord if admissible, else through the table."""
+    chord = float(np.hypot(*(a - b)))
+    if chord < 1e-12:
+        return 0.0
+    if dom._segments_admissible(a[None, :], b[None, :])[0]:
+        return chord
+    pts, table = dom._reflex_graph
+    m = len(pts)
+    starts = np.repeat([a, b], m, axis=0)
+    ends = np.tile(pts, (2, 1))
+    reach = np.where(dom._segments_admissible(starts, ends),
+                     np.hypot(*(starts - ends).T), np.inf).reshape(2, m)
+    return float(np.min(reach[0][:, None] + table + reach[1][None, :]))
+
+
+def _reference_constant(dom, sampler, internal):
+    """max ell / chord (or / geodesic) over the sampler's pairs, pair by pair."""
+    rng = np.random.default_rng(sampler.seed)
+    per = dom.perimeter
+    s1 = rng.uniform(0, per, sampler.n_uniform)
+    s2 = rng.uniform(0, per, sampler.n_uniform)
+    pairs = list(zip(s1, s2))
+    pairs += [(u, u + per / 2) for u in rng.uniform(0, per, sampler.n_antipodal)]
+    offs = per * np.geomspace(sampler.min_offset_frac, sampler.max_offset_frac,
+                              sampler.n_straddle)
+    pairs += [(float(dom.cum_lengths[k]) - d, float(dom.cum_lengths[k]) + d)
+              for k in dom.reflex_vertices for d in offs]
+    best = 0.0
+    for u, v in pairs:
+        w1, w2 = _reference_point(dom, u), _reference_point(dom, v)
+        chord = float(np.hypot(w1.x - w2.x, w1.y - w2.y))
+        if chord < 1e-9:
+            continue
+        ell = dom.boundary_arc_length(w1, w2)
+        denom = _reference_distance(dom, w1.coords, w2.coords) if internal else chord
+        if denom > 0:
+            best = max(best, ell / denom)
+    return best
 
 
 # -- polygon basics -------------------------------------------------------------
@@ -46,6 +100,18 @@ def test_boundary_point_and_arclength_roundtrip():
         sq.boundary_point(4, 0.5)
     with pytest.raises(DomainError):
         sq.boundary_point(0, 1.5)
+
+
+def test_points_at_arclength_equal_per_point_reference():
+    dom = cusp_domain(64)
+    per = dom.perimeter
+    s = np.concatenate([np.random.default_rng(2).uniform(-per, 2 * per, 500),
+                        dom.cum_lengths, [-1e-300, -per, per, 0.0]])
+    xy, pos = dom.points_at_arclength(s)
+    want = [_reference_point(dom, u) for u in s]
+    assert xy.tolist() == [[w.x, w.y] for w in want]
+    assert pos.tolist() == [w.s for w in want]
+    assert [dom.point_at_arclength(u) for u in s] == want
 
 
 def test_boundary_arc_length_shorter_side():
@@ -132,6 +198,49 @@ def test_internal_distance_between_chord_and_arc():
             assert chord - 1e-12 <= ell <= dom.boundary_arc_length(a, b) + 1e-12
 
 
+@pytest.mark.parametrize("name, n_pairs", [
+    ("square", 120), ("l_shape", 120), ("gon256", 120), ("comb", 120),
+    ("cusp64", 120), ("cusp64", 900)])
+def test_batched_distances_equal_per_pair(name, n_pairs):
+    dom = {"square": lambda: PolygonDomain(SQUARE),
+           "l_shape": lambda: PolygonDomain(L_SHAPE),
+           "gon256": lambda: regular_polygon(256),
+           "comb": lambda: PolygonDomain(COMB),
+           "cusp64": lambda: cusp_domain(64)}[name]()
+    s = np.random.default_rng(n_pairs).uniform(0, dom.perimeter, (2, n_pairs))
+    s[1, :10] = s[0, :10]                                 # coincident ends
+    s[1, 10:20] = s[0, 10:20] + 1e-13                     # ends under 1e-12 apart
+    a, _ = dom.points_at_arclength(s[0])
+    b, _ = dom.points_at_arclength(s[1])
+    got = dom.internal_distances(a, b)
+    assert got.tolist() == [_reference_distance(dom, p, q) for p, q in zip(a, b)]
+    assert got.tolist() == [dom.internal_distance(dom.point_at_arclength(u),
+                                                  dom.point_at_arclength(v))
+                            for u, v in zip(*s)]
+    assert not got[:20].any()
+    if n_pairs == 900:                                    # several row blocks
+        assert n_pairs > 3 * (chordarc._BLOCK_ENTRIES // dom.n)
+
+
+def test_comb_geodesic_bends_at_six_reflex_corners():
+    dom = PolygonDomain(COMB)
+    assert len(dom.reflex_vertices) == 6
+    p = dom.boundary_point(14, 0.5)     # (0.5, 3)
+    q = dom.boundary_point(6, 0.5)      # (6.5, 3)
+    want = 2 * math.sqrt(4.25) + 3 + 2 * math.sqrt(2)
+    assert dom.internal_distances(p.coords[None], q.coords[None])[0] == pytest.approx(
+        want, rel=1e-12)
+
+
+def test_internal_distances_raise_without_a_path():
+    # an end off the domain blocks the chord and every reflex segment
+    inside, outside = np.array([[0.5, 0.0]]), np.array([[5.0, 5.0]])
+    with pytest.raises(ValidationError, match="no reflex vertices"):
+        PolygonDomain(SQUARE).internal_distances(inside, outside)
+    with pytest.raises(ValidationError, match="no admissible path"):
+        PolygonDomain(L_SHAPE).internal_distances(inside, outside)
+
+
 def test_chordarc_imports_no_scipy():
     # the geodesic table needs numpy only; scipy costs most of the import time
     tree = ast.parse(Path(chordarc.__file__).read_text())
@@ -160,6 +269,16 @@ def test_regular_256gon_constants_near_half_pi():
     assert abs(cc - ic) < 1e-9                      # convex: geodesic = chord
     assert cc == pytest.approx(math.pi / 2, rel=0.02)
     assert cc == pytest.approx(1.5708751806617491, rel=1e-9)  # frozen sample
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["gon256", "cusp64"])
+def test_constants_equal_per_pair_reference(name, seed):
+    dom = regular_polygon(256) if name == "gon256" else cusp_domain(64)
+    sampler = PairSampler(seed=seed)
+    assert chordarc_constant(dom, sampler) == _reference_constant(dom, sampler, False)
+    assert (internal_chordarc_constant(dom, sampler)
+            == _reference_constant(dom, sampler, True))
 
 
 def test_sampler_determinism():
@@ -208,7 +327,8 @@ def test_cusp_contrast_between_constants():
     ic = internal_chordarc_constant(dom)
     assert cc > 50.0
     assert ic < 10.0
-    assert ic == pytest.approx(3.509017108299031, rel=1e-6)
+    assert cc == pytest.approx(64.00781202322122, rel=1e-9)   # frozen sample
+    assert ic == pytest.approx(3.509017108299031, rel=1e-9)
 
 
 def test_cusp_resolution_guard():

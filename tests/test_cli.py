@@ -198,3 +198,14 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code, src], check=True,
                           capture_output=True, text=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_and_chordarc_suite_load_no_jsonschema():
+    # only report validation needs jsonschema; `verify` and `cusp-demo` skip it
+    src = str(Path(circle_energy.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import circle_energy.cli; "
+            "from circle_energy.verify import run_suite; run_suite('chordarc'); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    proc = subprocess.run([sys.executable, "-c", code, src], check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
