@@ -302,9 +302,9 @@ def _ratio_max(P: PolygonDomain, sampler: PairSampler, internal: bool) -> float:
             f"sampler produced only {usable} usable pairs (need >= 1000)")
     d = np.abs(pos_a[keep] - pos_b[keep])
     ell = np.minimum(d, P.perimeter - d)
+    # every kept chord is >= 1e-9 and an internal distance is at least its chord
     denom = P.internal_distances(a[keep], b[keep]) if internal else chord[keep]
-    ok = denom > 0
-    return float(np.max(ell[ok] / denom[ok], initial=0.0))
+    return float(np.max(ell / denom))
 
 
 def chordarc_constant(P: PolygonDomain, sampler: PairSampler | None = None) -> float:

@@ -25,10 +25,18 @@ periods in closed form gives, with w = z^N,
 h_zbar is the conjugate of the same expression built from psi = conj(phi).
 The z^N term is the aliasing term of the periodic trapezoidal rule
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Review 56, 2014).  The 2^j nodes of a Whitney ring at one Gauss radius
-and Gauss angle are z0 * omega^m with omega = e^{2 pi i/2^j}, so folding
-b_q z0^q modulo 2^j turns A and B on the whole ring into one 2^j-point
-inverse FFT each.
+SIAM Review 56, 2014).  The 2^j nodes of a Whitney ring at Gauss radius r
+and Gauss angle t are z0 omega^m, z0 = r e^{it}, omega = e^{2 pi i/2^j}.
+With q = p + k 2^j, p < 2^j, L = ceil(N/2^j) and C[k, p] = b_{p + k 2^j}
+(0 for q >= N),
+
+    B(z0 omega^m) = sum_{p<2^j} omega^{mp} z0^p sum_{k<L} C[k, p] z0^{k 2^j},
+
+and A likewise from (q+1) b_q.  Per level the four rows b_q, (q+1) b_q of
+psi = phi and psi = conj(phi) form one (L, 4 2^j) matrix C; per Gauss angle
+the (g, L) matrix V[b, k] = (r_b e^{it})^{k 2^j} of the g radii gives every
+radius and row as one product V C, and a multiplication by z0^p and one
+batched 2^j-point inverse FFT give A and B on the whole ring.
 
 Energies (i) and (ii) integrate Phi(|Dh|) over Whitney cells with tensor
 Gauss-Legendre quadrature in polar coordinates, |Dh| = |h_z| + |h_zbar|
@@ -147,20 +155,19 @@ class HarmonicExtension:
 
         With g = gauss_order, |Dh| and the weights are shaped (2^j g, g): row
         m g + a is Gauss angle a of cell m + 1, column b the b-th of the g
-        radii.  Each level is evaluated ring by ring with the spectral formula
-        of the module docstring (`_ring_derivatives`), which equals the direct
-        kernel sum of `_derivative_batch` at the same nodes up to rounding.
+        radii.  Each level is evaluated with the row-matrix form of the module
+        docstring (`_ring_norm`), which equals the direct kernel sum of
+        `_derivative_batch` at the same nodes up to rounding.  Besides the
+        levels built so far, the working set is the (4, N_b) rows, the
+        4 L 2^j-entry C of the level and, per Gauss angle, O(g (L + 2^j))
+        entries for V, z0^p and V C.
         """
         check_level(J, MAX_WHITNEY_J, what="Whitney depth")
         if J in self._field_cache:
             return self._field_cache[J]
 
         gx, gw = np.polynomial.legendre.leggauss(self.gauss_order)
-        coeffs = self._ring_coefficients()
-        # one (g, N_b) workspace for all levels: arrays this large, allocated
-        # per level, are handed back to the system and faulted in again
-        work = (np.empty((self.gauss_order, self.n_boundary)),
-                np.empty((2, self.gauss_order, self.n_boundary), dtype=complex))
+        rows = self._ring_coefficients()
         field = []
         for j in range(1, J + 1):
             c0 = whitney_cell(j, 1)
@@ -169,42 +176,38 @@ class HarmonicExtension:
             half = math.pi / 2 ** j
             t0 = half * (gx + 1.0)          # nodes in the first cell [0, 2*half]
             w = np.tile(half * gw, 2 ** j)[:, None] * (wr * r)[None, :]
-            norm = operator_norm(*self._ring_derivatives(coeffs, j, r, t0, work))
-            field.append((norm.reshape(w.shape), w, r))
+            field.append((self._ring_norm(rows, j, r, t0).reshape(w.shape), w, r))
         self._field_cache[J] = field
         return field
 
     def _ring_coefficients(self) -> np.ndarray:
-        """b_q for psi = phi (row 0) and psi = conj(phi) (row 1), q < N_b."""
+        """(4, N_b) rows b_q, b_q^*, (q+1) b_q, (q+1) b_q^*; * marks psi = conj(phi)."""
         n = self.n_boundary
         psi = np.stack([self._phi, np.conj(self._phi)]) * np.conj(self._zeta)
-        return np.fft.fft(psi, axis=-1) * (np.exp(-1j * math.pi * np.arange(n) / n) / n)
+        b = np.fft.fft(psi, axis=-1) * (np.exp(-1j * math.pi * np.arange(n) / n) / n)
+        return np.concatenate([b, b * np.arange(1, n + 1)])
 
-    def _ring_derivatives(self, coeffs: np.ndarray, j: int, r: np.ndarray,
-                          t0: np.ndarray, work: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """h_z, h_zbar at r_b e^{i(t0_a + 2 pi m/2^j)}, shaped (2^j, len(t0), len(r)).
-
-        One Gauss-angle row at a time, so the working set is O(len(r) N_b):
-        `work` = (r^q, (z0^q, beta)), the real and the two complex arrays that
-        `_whitney_field` allocates once for all levels, each (len(r), N_b).
-        """
+    def _ring_norm(self, rows: np.ndarray, j: int, r: np.ndarray,
+                   t0: np.ndarray) -> np.ndarray:
+        """|Dh| at r_b e^{i(t0_a + 2 pi m/2^j)}, shaped (2^j, len(t0), len(r))."""
         n, size = self.n_boundary, 2 ** j
-        q = np.arange(n)
-        r_pow, (z0_pow, beta) = work
-        np.power(r[:, None], q, out=r_pow)
+        length = -(-n // size)
+        c = np.pad(rows, ((0, 0), (0, length * size - n))).reshape(4, length, size)
+        c = c.transpose(1, 0, 2).reshape(length, 4 * size)  # C[k, s 2^j + p]: row s
+        k, p = size * np.arange(length), np.arange(size)
+        r_k, r_p = r[:, None] ** k, r[:, None] ** p
         # (omega^m)^N, with the exponent reduced exactly in integers
-        spin = np.exp(2j * math.pi * ((np.arange(size) * n) % size) / size)
-        out = np.empty((2, size, t0.size, r.size), dtype=complex)
+        spin = np.exp(2j * math.pi * ((p * n) % size) / size)
+        out = np.empty((size, t0.size, r.size))
         for a, t in enumerate(t0):
-            np.multiply(r_pow, np.exp(1j * t * q), out=z0_pow)  # z0^q per Gauss radius
+            sums = ((r_k * np.exp(1j * t * k)) @ c).reshape(r.size, 4, size)  # V C
+            sums *= (r_p * np.exp(1j * t * p))[:, None, :]                   # z0^p
+            sums = np.fft.ifft(sums, norm="forward").swapaxes(0, 1)  # (4, len(r), 2^j)
             w = (r ** n * np.exp(1j * n * t))[:, None] * spin
-            for s in range(2):
-                np.multiply(coeffs[s], z0_pow, out=beta)
-                big_b = _fold_ifft(beta, size)
-                big_a = _fold_ifft(np.multiply(q + 1, beta, out=beta), size)
-                out[s, :, a, :] = (big_a / (1.0 + w)
-                                   - n * w * big_b / (1.0 + w) ** 2).T
-        return out[0], np.conj(out[1])
+            # (h_z, conj(h_zbar)); |conj(h_zbar)| = |h_zbar|
+            h = sums[2:] / (1.0 + w) - n * w * sums[:2] / (1.0 + w) ** 2
+            out[:, a, :] = operator_norm(*h).T
+        return out
 
     def _energy(self, condition: str, lam: float, J: int) -> EnergyReport:
         check_lambda(lam)
@@ -270,15 +273,3 @@ class HarmonicExtension:
                                 repr(float(abs(hz[idx]))), repr(float(abs(hzb[idx])))])
                     idx += 1
 
-
-def _fold_ifft(x: np.ndarray, size: int) -> np.ndarray:
-    """sum_q x_q e^{2 pi i m q/size} for m < size along the last axis.
-
-    x is folded modulo size first, zero-padded when size does not divide
-    its length (this covers size > length).
-    """
-    pad = -x.shape[-1] % size
-    if pad:
-        x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad,), dtype=x.dtype)], axis=-1)
-    folded = x.reshape(x.shape[:-1] + (-1, size)).sum(axis=-2)
-    return np.fft.ifft(folded, axis=-1) * size

@@ -1,9 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circle_energy
 from circle_energy.circle_map import identity_map
 from circle_energy.dyadic import whitney_cell
 from circle_energy.errors import DomainError, ResourceGuardError
@@ -150,16 +156,26 @@ def _flat_norm(field):
     return np.concatenate([norm.ravel() for norm, _, _ in field])
 
 
-# N_b not a power of two; 2^j > N_b at level 9; 2^j dividing N_b
-@pytest.mark.parametrize("n_boundary, J", [(1000, 8), (256, 9), (2 ** 10, 8)])
-def test_spectral_field_matches_direct_sum(families, n_boundary, J):
-    for name in ("identity", "mobius_trace", "power", "log_singular",
-                 "smoothed_cantor", "piecewise_linear"):
-        ext = HarmonicExtension(families[name], n_boundary=n_boundary)
+# N_b not a power of two; 2^j > N_b at level 9; 2^j dividing N_b; each at
+# the default Gauss order 4 and at both ends of GAUSS_RANGE
+@pytest.mark.parametrize("n_boundary, J, gauss_order", [
+    pytest.param(n, J, g, id=f"{n}-{J}" if g == 4 else f"{n}-{J}-g{g}")
+    for n, J in [(1000, 8), (256, 9), (2 ** 10, 8)] for g in (4, 2, 12)])
+def test_spectral_field_matches_direct_sum(families, n_boundary, J, gauss_order):
+    names = ("identity", "mobius_trace", "power", "log_singular",
+             "smoothed_cantor", "piecewise_linear")
+    if gauss_order == 12:
+        # the direct sum grows like g^2: one map whose slowly decaying
+        # coefficients reach every row of the ring matrix
+        names = ("piecewise_linear",)
+    for name in names:
+        ext = HarmonicExtension(families[name], n_boundary=n_boundary,
+                                gauss_order=gauss_order)
         field = ext._whitney_field(J)
         direct = operator_norm(*ext._derivative_batch(_whitney_nodes(J, ext.gauss_order)))
         np.testing.assert_allclose(_flat_norm(field), direct, rtol=1e-9, atol=0, err_msg=name)
-        oracle = HarmonicExtension(families[name], n_boundary=n_boundary)
+        oracle = HarmonicExtension(families[name], n_boundary=n_boundary,
+                                   gauss_order=gauss_order)
         cuts = np.cumsum([w.size for _, w, _ in field])[:-1]
         oracle._field_cache[J] = [(d.reshape(w.shape), w, r)
                                   for d, (_, w, r) in zip(np.split(direct, cuts), field)]
@@ -169,6 +185,50 @@ def test_spectral_field_matches_direct_sum(families, n_boundary, J):
                 want = getattr(oracle, cond)(lam, J=J).per_level
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
                                            err_msg=f"{name} {cond} {lam}")
+
+
+def test_field_bytes_do_not_depend_on_blas_threads():
+    # each ring product V C has 4 g N_b = 786,432 complex multiply-adds here,
+    # enough for a threaded BLAS to split it; reports must stay byte-identical
+    src = str(Path(circle_energy.__file__).resolve().parents[1])
+    code = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from circle_energy.circle_map import catalog
+from circle_energy.poisson import HarmonicExtension
+ext = HarmonicExtension(catalog()["mobius_trace"], 2 ** 14, 12)
+digest = hashlib.sha256()
+for norm, _, _ in ext._whitney_field(8):
+    digest.update(norm.tobytes())
+print(digest.hexdigest())
+"""
+    digests = [subprocess.run([sys.executable, "-c", code, src], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert len(digests[0].strip()) == 64
+    assert digests[0] == digests[1]
+
+
+def test_field_peak_memory_within_the_working_set(identity):
+    # tracemalloc counts numpy's buffers, so the peak is deterministic; the
+    # bound is the working set of `_whitney_field`'s docstring at the last level
+    n, g, J = 2 ** 16, 12, 12
+    ext = HarmonicExtension(identity, n_boundary=n, gauss_order=g)
+    tracemalloc.start()
+    try:
+        ext._whitney_field(J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size, length = 2 ** J, n // 2 ** J
+    field = 2 * 8 * g * g * (2 ** (J + 1) - 2)   # |Dh| and weights, all levels
+    rows = 16 * 4 * n                             # coefficient rows
+    level = 16 * 2 * 4 * length * size            # C and its reordered copy
+    # V, z0^p, V C, its FFT and the combine's temporaries: 16 complex entries
+    # per (radius, k) and per (radius, ring node)
+    angle = 16 * 16 * g * (length + size)
+    assert peak < field + rows + level + angle
 
 
 def test_identity_deep_field_oracle(identity):
