@@ -5,14 +5,15 @@ for (i)/(ii), logkernel for (iii), energy for (iv)/(v)); this module wires
 them together, assembles pairwise ratio tables of the cumulative sums over
 shared truncation levels, and reduces the per-condition classifications to
 a single verdict per lambda.  Each condition's lambda-free work (the
-Whitney field, the (iii) kernel, the (iv)/(v) lift and shared sums) is done
-once for every lambda; a failure of one lambda's entry leaves the others.
+Whitney field and its level masses and bases for (i)/(ii), the (iii) kernel,
+the (iv)/(v) lift and shared sums) is done once for every lambda; a failure
+of one lambda's entry leaves the others.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import energy, logkernel, poisson
@@ -80,25 +81,15 @@ class AnalysisConfig:
         return CircleHomeomorphism.from_spec(self.map_spec)
 
     def echo(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "conditions": list(self.conditions),
-            "j_disk": self.j_disk,
-            "j_dyadic": self.j_dyadic,
-            "n_boundary": self.n_boundary,
-            "gauss_order": self.gauss_order,
-            "direct_resolution": self.direct_resolution,
-            "seed": self.seed,
-        }
+        """The run's settings for the report: every field but map_spec and out."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self) if f.name not in ("map_spec", "out")}
 
 
 _GROUPS = (("i", "ii"), ("iii",), ("iv", "v"))   # conditions sharing lambda-free work
 
 
-def _entry(cond: str, shared, lam: float, config: AnalysisConfig) -> dict:
-    if cond in ("i", "ii"):
-        energy = shared.energy_i if cond == "i" else shared.energy_ii
-        return report_io.energy_entry(energy(lam, config.j_disk))
+def _entry(cond: str, shared, lam: float) -> dict:
     if cond == "iii":
         dy, direct = shared.dyadic(lam), shared.direct(lam)
         rep = make_report("iii", lam, dy.band_levels[-1], dy.band_levels,
@@ -117,33 +108,31 @@ def _entry(cond: str, shared, lam: float, config: AnalysisConfig) -> dict:
 def _group_entries(conds, mapping, config: AnalysisConfig) -> dict:
     """(condition, lambda) -> entry for one group of conditions.
 
-    The group's lambda-free work (the harmonic extension, whose Whitney field
-    its first entry builds and caches for the others; the (iii) kernel; or the
-    (iv)/(v) reports of one lift) is done once and released on return.  If a
-    guard rejects it, every entry of the group fails with the guard's message;
-    a failure at one lambda leaves the other lambdas' entries.
+    The group's lambda-free work (the (i)/(ii) reports of one Whitney field,
+    the (iii) kernel, or the (iv)/(v) reports of one lift) is done once and
+    released on return.  If a guard rejects it, every entry of the group fails
+    with the guard's message; a failure at one lambda leaves the other
+    lambdas' entries.
     """
-    lams = config.lambdas
+    tasks = [(c, lam) for c in conds for lam in config.lambdas]
     try:
         if conds[0] == "iii":
             shared = LogKernel(mapping, config.j_dyadic,
                                direct_resolution=config.direct_resolution)
         elif conds[0] in ("iv", "v"):
-            shared = dyadic_reports(mapping, config.j_dyadic,
-                                    [(c, lam) for c in conds for lam in lams])
+            shared = dyadic_reports(mapping, config.j_dyadic, tasks)
         else:
-            shared = HarmonicExtension(mapping, n_boundary=config.n_boundary,
-                                       gauss_order=config.gauss_order)
+            shared = HarmonicExtension(
+                mapping, n_boundary=config.n_boundary,
+                gauss_order=config.gauss_order).energy_reports(config.j_disk, tasks)
     except CircleEnergyError as exc:
-        return {(c, lam): report_io.failed_entry(_MODULE_OF[c], exc)
-                for c in conds for lam in lams}
+        return {(c, lam): report_io.failed_entry(_MODULE_OF[c], exc) for c, lam in tasks}
     entries = {}
-    for cond in conds:
-        for lam in lams:
-            try:
-                entries[cond, lam] = _entry(cond, shared, lam, config)
-            except CircleEnergyError as exc:
-                entries[cond, lam] = report_io.failed_entry(_MODULE_OF[cond], exc)
+    for cond, lam in tasks:
+        try:
+            entries[cond, lam] = _entry(cond, shared, lam)
+        except CircleEnergyError as exc:
+            entries[cond, lam] = report_io.failed_entry(_MODULE_OF[cond], exc)
     return entries
 
 

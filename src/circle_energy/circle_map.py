@@ -54,6 +54,13 @@ def _clamped(x, name: str) -> float:
     return min(TWO_PI, max(0.0, v))
 
 
+def uniform_edges(n: int) -> np.ndarray:
+    """The n + 1 edges 2*pi*k/n of n equal cells, the last exactly 2*pi."""
+    edges = TWO_PI * np.arange(n + 1) / n
+    edges[-1] = TWO_PI
+    return edges
+
+
 # --- family lifts (vectorised; theta assumed inside [0, 2*pi]) -------------
 
 
@@ -333,11 +340,14 @@ class CircleHomeomorphism:
             return self.eval_lift(hi) - self.eval_lift(lo)
         return (TWO_PI - self.eval_lift(lo)) + self.eval_lift(hi - TWO_PI)
 
+    def uniform_cells(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoints of n equal cells of [0, 2*pi] and their exact image masses."""
+        edges = uniform_edges(n)
+        return 0.5 * (edges[:-1] + edges[1:]), np.diff(self.lift_values(edges))
+
     def level_image_lengths(self, j: int) -> np.ndarray:
         """All 2**j image arc lengths at level j (telescoping differences)."""
-        edges = TWO_PI * np.arange(2 ** j + 1) / 2 ** j
-        edges[-1] = TWO_PI
-        return np.diff(self.lift_values(edges))
+        return np.diff(self.lift_values(uniform_edges(2 ** j)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,28 @@
-"""Truncated dyadic energy sums over image arc lengths.
+"""Level sums of the energies (i), (ii), (iv) and (v), and their reports.
 
 Condition (iv) sums j^lambda * l(phi(Gamma_{j,k}))**2, condition (v) replaces
 the level weight by log^lambda(e + l * 2**j) inside the sum.  Both admit the
 same split by the indicator chi(j,k) = [l > 2**(-3j/4)], whose chi = 0 part
-is summable with explicit bounds.
+is summable with explicit bounds.  On each level these and poisson's (i)/(ii)
+sum mass * base**lambda over lambda-free masses and bases, so one task loop
+serves every (condition, lambda) task from data formed once per level: here
+the chi-split l**2 of one lift at the level-J edges (which hold every level's
+edges bit for bit), in poisson |Dh|^2 w.
 
-The lift is evaluated once per call, at the level-J edges, which hold every
-level's edges bit for bit, and one call serves any number of (condition,
-lambda) tasks.  Each level's lengths are split by chi, and each part is summed
-by numpy's pairwise np.sum: blocks of at most 128 terms in 8 partial sums,
-longer arrays halved.  For n <= 2**21 terms no term passes through more than
-k = ceil(log2 n) + 17 roundings (checked for every such n against that
-splitting rule), so a sum of nonnegative terms lies within
+Each part is summed by numpy's pairwise np.sum: blocks of at most 128 terms
+in 8 partial sums, longer arrays halved.  For n <= 2**21 terms no term passes
+through more than k = ceil(log2 n) + 17 roundings (checked for every such n
+against that splitting rule), so a sum of nonnegative terms lies within
 gamma_k = k u / (1 - k u), u = 2**-53, relative of its exact value.  The (iv)
 weight j**lambda is constant on a level and scales the two part sums once; a
 level term adds them, and P1 and P2 are the math.fsum of their parts over the
 levels.  So every level term, P1, P2 and total of a depth-J sum lies within
 gamma_(J+20), 4.4e-15 at J = 20, of the exact sum of its computed terms.  A
 report's total is P1 + P2 of its chi-split, so the partition identity is exact.
+An (i)/(ii) level has n = g**2 2**j <= 2**(j+8) products (g <= 12, J <= 12):
+its term lies within gamma_(J+25) and its total within gamma_(J+26), 4.2e-15
+at J = 12.  That gives up math.fsum's correct rounding for a bound far below
+the disk quadrature's error, 1e-4 relative or more at N_b = 2**14, g = 4.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_map import TWO_PI, CircleHomeomorphism
+from .circle_map import CircleHomeomorphism, uniform_edges
 from .errors import (DomainError, InsufficientDataError, NumericalError, check_lambda,
                      check_level, checked_pow)
 
@@ -113,7 +118,7 @@ def make_report(condition: str, lam: float, J: int, levels, per_level,
 
 def _finite(*sums: float) -> tuple[float, ...]:
     if not all(map(math.isfinite, sums)):
-        raise NumericalError("non-finite term in a dyadic energy sum")
+        raise NumericalError("non-finite term in an energy level sum")
     return sums
 
 
@@ -123,28 +128,66 @@ def _part_sums(parts) -> tuple[float, ...]:
         return _finite(*(float(np.sum(p)) for p in parts))
 
 
-def _level_sums(map_: CircleHomeomorphism, J: int, tasks) -> dict:
-    """(chi = 0, chi = 1) level sums for every (condition, lambda) task.
+def _level_sums(levels, tasks, conditions) -> dict:
+    """Per-level part sums of every (condition, lambda) task, in one pass.
 
-    Per level the lengths are split once by chi into two contiguous parts,
-    and l**2 and, for a weighted (v) task, log(e + l * 2**j) are formed once
-    per part.  One pairwise sum of l**2 per part serves every (iv) task,
-    scaled by its constant weight j**lambda, and every lambda = 0 task; each
-    weighted (v) task sums its own l**2 * log**lambda per part.  So a task's
-    sums do not depend on the other tasks of the call.  A task meeting a
-    non-finite sum gets its NumericalError in place of its sums.
+    `levels` yields per level (masses, bases): the 1-D masses m of each part
+    and, per condition, the base b of its terms m * b**lambda, either a float
+    constant on the level or one array per part.  One sum of m per part serves
+    every lambda = 0 and constant-base task.  A task meeting a non-finite sum
+    gets its NumericalError in place of its sums; argument errors raise for
+    the whole call.
     """
-    check_level(J, MAX_J, minimum=0, what="J")
     for condition, lam in tasks:
         check_lambda(lam)
-        if condition not in ("iv", "v"):
-            raise DomainError(f"unknown dyadic condition {condition!r}")
-    edges = TWO_PI * np.arange(2 ** J + 1) / 2 ** J
-    edges[-1] = TWO_PI
-    lift = map_.lift_values(edges)
-    del edges
+        if condition not in conditions:
+            raise DomainError(f"unknown condition {condition!r}, expected {conditions}")
     out = {task: [] for task in tasks}
+    for masses, bases in levels:
+        plain = None
+        for (condition, lam), sums in out.items():
+            if isinstance(sums, NumericalError):
+                continue
+            base = bases[condition]
+            try:
+                if lam == 0.0 or isinstance(base, float):
+                    if plain is None:
+                        plain = _part_sums(masses)
+                    w = checked_pow(base, lam) if isinstance(base, float) else 1.0
+                    sums.append(_finite(*(w * s for s in plain)))
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    terms = [np.power(b, lam) for b in base]
+                    for t, m in zip(terms, masses):
+                        t *= m
+                sums.append(_part_sums(terms))
+            except NumericalError as exc:
+                out[condition, lam] = exc
+    return out
+
+
+def level_reports(levels, J: int, tasks, conditions) -> dict:
+    """Each task's report, or its NumericalError; a two-part total is P1 + P2."""
+    return {(c, lam): sums if isinstance(sums, NumericalError) else make_report(
+                c, lam, J, range(1, J + 1), [sum(s) for s in sums],
+                total=sum(map(math.fsum, zip(*sums))))
+            for (c, lam), sums in _level_sums(levels, tasks, conditions).items()}
+
+
+def only_result(results: dict):
+    """The value of a one-task result dict; a NumericalError is raised."""
+    (result,) = results.values()
+    if isinstance(result, NumericalError):
+        raise result
+    return result
+
+
+def _dyadic_levels(map_: CircleHomeomorphism, J: int, tasks):
+    """Each level's chi-split l**2, the (iv) weight j and, for a weighted (v)
+    task, log(e + l * 2**j) per part, from one lift at the level-J edges."""
+    check_level(J, MAX_J, minimum=0, what="J")
     weighted_v = any(c == "v" and lam != 0.0 for c, lam in tasks)
+    lift = map_.lift_values(uniform_edges(2 ** J))
     for j in range(1, J + 1):
         lengths = np.diff(lift[::2 ** (J - j)])
         if j == J:
@@ -152,32 +195,8 @@ def _level_sums(map_: CircleHomeomorphism, J: int, tasks) -> dict:
         chi = lengths > 2.0 ** (-0.75 * j)
         parts = (lengths[~chi], lengths[chi])
         del lengths, chi
-        if weighted_v:
-            logs = [np.log(p * 2.0 ** j + math.e) for p in parts]
-        sq = [np.multiply(p, p, out=p) for p in parts]   # l**2, in the parts' buffers
-        plain = None
-        for (condition, lam), sums in out.items():
-            if isinstance(sums, NumericalError):
-                continue
-            try:
-                if condition == "iv" or lam == 0.0:
-                    if plain is None:
-                        plain = _part_sums(sq)
-                    w = checked_pow(float(j), lam) if condition == "iv" else 1.0
-                    sums.append(_finite(w * plain[0], w * plain[1]))
-                    continue
-                with np.errstate(over="ignore", invalid="ignore"):
-                    terms = [np.power(lg, lam) for lg in logs]
-                    for t, p in zip(terms, sq):
-                        t *= p
-                sums.append(_part_sums(terms))
-            except NumericalError as exc:
-                out[condition, lam] = exc
-    return out
-
-
-def _split(sums: list[tuple[float, float]]) -> tuple[float, float]:
-    return math.fsum(s[1] for s in sums), math.fsum(s[0] for s in sums)
+        logs = [np.log(p * 2.0 ** j + math.e) for p in parts] if weighted_v else None
+        yield [np.multiply(p, p, out=p) for p in parts], {"iv": float(j), "v": logs}
 
 
 def dyadic_reports(map_: CircleHomeomorphism, J: int, tasks) -> dict:
@@ -186,27 +205,17 @@ def dyadic_reports(map_: CircleHomeomorphism, J: int, tasks) -> dict:
     A task whose sum is not finite maps to its NumericalError; argument and
     level guards raise for the whole call.
     """
-    return {(c, lam): sums if isinstance(sums, NumericalError) else make_report(
-                c, lam, J, range(1, J + 1), [s0 + s1 for s0, s1 in sums],
-                total=sum(_split(sums)))
-            for (c, lam), sums in _level_sums(map_, J, tasks).items()}
-
-
-def _only(results: dict):
-    (result,) = results.values()
-    if isinstance(result, NumericalError):
-        raise result
-    return result
+    return level_reports(_dyadic_levels(map_, J, tasks), J, tasks, ("iv", "v"))
 
 
 def dyadic_energy_iv(map_: CircleHomeomorphism, lam: float, J: int) -> EnergyReport:
     """Truncated sum of j^lambda * sum_k l(phi(Gamma_{j,k}))**2."""
-    return _only(dyadic_reports(map_, J, [("iv", lam)]))
+    return only_result(dyadic_reports(map_, J, [("iv", lam)]))
 
 
 def dyadic_energy_v(map_: CircleHomeomorphism, lam: float, J: int) -> EnergyReport:
     """Truncated sum of sum_k l**2 * log^lambda(e + l * 2**j)."""
-    return _only(dyadic_reports(map_, J, [("v", lam)]))
+    return only_result(dyadic_reports(map_, J, [("v", lam)]))
 
 
 def comparability_split(map_: CircleHomeomorphism, lam: float, J: int,
@@ -220,7 +229,9 @@ def comparability_split(map_: CircleHomeomorphism, lam: float, J: int,
     l <= 2**(-3j/4), so P2 <= sum_j j^lambda 2**(-j/2) for (iv) and, for
     lambda <= 0, P2' <= sum_j 2**(-j/2) for (v).
     """
-    return _split(_only(_level_sums(map_, J, [(condition, lam)])))
+    tasks = [(condition, lam)]
+    sums = only_result(_level_sums(_dyadic_levels(map_, J, tasks), tasks, ("iv", "v")))
+    return math.fsum(s[1] for s in sums), math.fsum(s[0] for s in sums)
 
 
 def chi_bound(lam: float, J: int, condition: str = "iv") -> float:

@@ -14,6 +14,7 @@ form below, each multiplied by the integrated sublevel arc measure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,31 +92,24 @@ def sublevel_arc_measure(map_: CircleHomeomorphism, xi_angle: float, t: float) -
     return map_.cyclic_mass(u - alpha, 2.0 * alpha)
 
 
-def _source_grid(map_: CircleHomeomorphism, resolution: int):
-    """Midpoint source angles and their exact image-mass weights."""
-    edges = TWO_PI * np.arange(resolution + 1) / resolution
-    edges[-1] = TWO_PI
-    values = map_.lift_values(edges)
-    weights = np.diff(values)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return mids, weights
+def _sublevel_integrals(map_: CircleHomeomorphism, ts, mids, weights) -> list[float]:
+    """sublevel_integral at each t from one source grid, bit for bit: one dot per t."""
+    alphas = np.array([2.0 * math.asin(0.5 * t) for t in ts])[:, None]
+    lo = (mids - alphas) % TWO_PI
+    hi = lo + 2.0 * alphas
+    wrap = hi > TWO_PI
+    flo = map_.lift_values(lo)
+    fhi = map_.lift_values(np.where(wrap, hi - TWO_PI, hi))
+    masses = np.where(wrap, (TWO_PI - flo) + fhi, fhi - flo)
+    return [TWO_PI * TWO_PI if 2.0 * a >= TWO_PI else float(np.dot(weights, row))
+            for a, row in zip(alphas[:, 0], masses)]
 
 
 def sublevel_integral(map_: CircleHomeomorphism, t: float, resolution: int = 1024) -> float:
     """int_S sublevel_arc_measure(xi, t) |d xi| by pullback midpoint quadrature."""
     if not 0.0 < t <= 2.0:
         raise DomainError(f"chordal distance must lie in (0, 2], got {t}")
-    alpha = 2.0 * math.asin(0.5 * t)
-    if 2.0 * alpha >= TWO_PI:
-        return TWO_PI * TWO_PI
-    mids, weights = _source_grid(map_, resolution)
-    lo = (mids - alpha) % TWO_PI
-    hi = lo + 2.0 * alpha
-    wrap = hi > TWO_PI
-    flo = map_.lift_values(lo)
-    fhi = map_.lift_values(np.where(wrap, hi - TWO_PI, hi))
-    masses = np.where(wrap, (TWO_PI - flo) + fhi, fhi - flo)
-    return float(np.dot(weights, masses))
+    return _sublevel_integrals(map_, [t], *map_.uniform_cells(resolution))[0]
 
 
 def _check_resolution(resolution: int) -> None:
@@ -125,17 +119,17 @@ def _check_resolution(resolution: int) -> None:
         raise ResourceGuardError(f"resolution {resolution} exceeds guard {MAX_RESOLUTION}")
 
 
-def _pair_grid(map_: CircleHomeomorphism, resolution: int):
-    """lambda -> (part_one, part_two) of the 2-D midpoint quadrature."""
-    mids, weights = _source_grid(map_, resolution)
+def _pair_grid(mids: np.ndarray, weights: np.ndarray):
+    """lambda -> (part_one, part_two) of the 2-D midpoint quadrature, once per lambda."""
     dist = 2.0 * np.abs(np.sin(0.5 * (mids[:, None] - mids[None, :])))
     ww = weights[:, None] * weights[None, :]
     with np.errstate(divide="ignore"):
         logd = np.abs(np.log(np.where(dist > 0.0, dist, 1.0)))
     far = dist >= 1.0
     # any floor in (0, t0), t0 = 2 sin(pi/resolution), drops exactly the diagonal cells
-    near = (dist < 1.0) & (dist >= math.sin(math.pi / resolution))
+    near = (dist < 1.0) & (dist >= math.sin(math.pi / len(mids)))
 
+    @functools.cache
     def parts(lam: float) -> tuple[float, float]:
         with np.errstate(over="ignore"):
             weighted = ww * logd ** (lam + 1.0)
@@ -148,28 +142,27 @@ class LogKernel:
 
     With J: the sublevel integrals of the dyadic bands 1..J.  With
     direct_resolution: those of the direct method's excluded region.  Each
-    pair grid is built once, and once for both methods at equal resolutions.
+    source grid is lifted, and each pair grid built and summed per lambda, once.
     """
 
     def __init__(self, map_: CircleHomeomorphism, J: int | None = None,
                  resolution: int = 1024, direct_resolution: int | None = None):
         self.resolution, self.direct_resolution = resolution, direct_resolution
-        grids = {}
+        source = functools.cache(map_.uniform_cells)
+        pairs = functools.cache(lambda res: _pair_grid(*source(res)))
         if J is not None:
             _check_resolution(resolution)
             check_level(J, MAX_J, what="J")
-            self._bands = [sublevel_integral(map_, 2.0 ** -j, resolution)
-                           for j in range(1, J + 1)]
-            res = min(resolution, 512)
-            self._dyadic_parts = grids[res] = _pair_grid(map_, res)
+            self._bands = _sublevel_integrals(
+                map_, [2.0 ** -j for j in range(1, J + 1)], *source(resolution))
+            self._dyadic_parts = pairs(min(resolution, 512))
         if direct_resolution is not None:
             _check_resolution(direct_resolution)
             self._t0 = t0 = 2.0 * math.sin(math.pi / direct_resolution)
             self._k = k = math.ceil(-math.log2(t0))
-            self._tail = [sublevel_integral(map_, t, direct_resolution)
-                          for t in [t0] + [2.0 ** -j for j in range(k, k + 44)]]
-            self._direct_parts = (grids.get(direct_resolution)
-                                  or _pair_grid(map_, direct_resolution))
+            ts = [t0] + [2.0 ** -j for j in range(k, k + 44)]
+            self._tail = _sublevel_integrals(map_, ts, *source(direct_resolution))
+            self._direct_parts = pairs(direct_resolution)
 
     def direct(self, lam: float) -> LogIntegralResult:
         """log_energy_direct at this lambda."""

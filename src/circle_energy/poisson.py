@@ -40,7 +40,8 @@ batched 2^j-point inverse FFT give A and B on the whole ring.
 
 Energies (i) and (ii) integrate Phi(|Dh|) over Whitney cells with tensor
 Gauss-Legendre quadrature in polar coordinates, |Dh| = |h_z| + |h_zbar|
-(the single norm convention used everywhere in this package).
+(the single norm convention used everywhere in this package).  Their level
+sums go through energy's task loop, with the rounding bound stated there.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ import numpy as np
 
 from .circle_map import TWO_PI, CircleHomeomorphism
 from .dyadic import whitney_cell
-from .energy import EnergyReport, make_report
-from .errors import DomainError, NumericalError, check_lambda, check_level
+from .energy import EnergyReport, level_reports, only_result
+from .errors import DomainError, NumericalError, check_level
 
 BARRIER = 1.0 - 2.0 ** -20
 DEFAULT_NODES = 2 ** 14
@@ -97,14 +98,10 @@ class HarmonicExtension:
         self.n_boundary = int(n_boundary)
         self.gauss_order = int(gauss_order)
 
-        edges = TWO_PI * np.arange(self.n_boundary + 1) / self.n_boundary
-        edges[-1] = TWO_PI
-        theta = 0.5 * (edges[:-1] + edges[1:])
-        lift = map_.lift_values(theta)
+        theta, self._masses = map_.uniform_cells(self.n_boundary)  # Stieltjes cell masses
         self._zeta = np.exp(1j * theta)
-        self._phi = map_.base_point_image * np.exp(1j * lift)
+        self._phi = map_.base_point_image * np.exp(1j * map_.lift_values(theta))
         self._dtheta = TWO_PI / self.n_boundary
-        self._masses = np.diff(map_.lift_values(edges))  # Stieltjes cell masses
         self._field_cache: dict[int, list] = {}
 
     # -- point evaluation ------------------------------------------------
@@ -209,35 +206,35 @@ class HarmonicExtension:
             out[:, a, :] = operator_norm(*h).T
         return out
 
-    def _energy(self, condition: str, lam: float, J: int) -> EnergyReport:
-        check_lambda(lam)
-        per_level = []
-        for j, (norm, w, r) in enumerate(self._whitney_field(J), start=1):
-            if condition == "i":
-                weight = np.log(math.e + norm) ** lam
-            else:
-                logw = np.log(2.0 / (1.0 - r))
-                self._check_ii_weight(j, logw)
-                weight = logw ** lam
-            per_level.append(math.fsum((norm * norm * weight * w).ravel().tolist()))
-        return make_report(condition, lam, J, range(1, J + 1), per_level)
+    def energy_reports(self, J: int, tasks) -> dict:
+        """(i)/(ii) reports of every (condition, lambda) task from one field,
+        by `energy.level_reports`: a failed sum maps to its NumericalError, a
+        failed guard or (ii) window check raises for the whole call."""
+        return level_reports(self._disk_levels(J, tasks), J, tasks, ("i", "ii"))
 
-    @staticmethod
-    def _check_ii_weight(j: int, logw: np.ndarray) -> None:
-        # log(2/(1-r)) must sit in [j ln 2, (j+1) ln 2] at the Gauss radii,
-        # which makes the weight uniformly comparable to j^lam
-        lo, hi = j * math.log(2.0), (j + 1) * math.log(2.0)
-        if np.any(logw < lo - 1e-9) or np.any(logw > hi + 1e-9):
-            raise NumericalError(
-                f"(ii) weight escaped its comparability window at level {j}")
+    def _disk_levels(self, J: int, tasks):
+        """Each level's masses |Dh|^2 w and the bases log(e + |Dh|) of (i) and
+        log(2/(1-r)) of (ii) that a task with lambda != 0 needs, flattened."""
+        weighted = {c for c, lam in tasks if lam != 0.0}
+        for j, (norm, w, r) in enumerate(self._whitney_field(J), start=1):
+            # log(2/(1-r)) must sit in [j ln 2, (j+1) ln 2] at the Gauss radii,
+            # which makes the (ii) weight uniformly comparable to j^lam
+            logw = np.log(2.0 / (1.0 - r))
+            lo, hi = j * math.log(2.0), (j + 1) * math.log(2.0)
+            if np.any(logw < lo - 1e-9) or np.any(logw > hi + 1e-9):
+                raise NumericalError(
+                    f"(ii) weight escaped its comparability window at level {j}")
+            yield ((norm * norm * w).ravel(),), {   # column b of a level is radius b
+                "i": (np.log(math.e + norm.ravel()),) if "i" in weighted else None,
+                "ii": (np.tile(logw, len(norm)),) if "ii" in weighted else None}
 
     def energy_i(self, lam: float, J: int = 10) -> EnergyReport:
         """int over Whitney cells of |Dh|^2 log^lambda(e + |Dh|)."""
-        return self._energy("i", lam, J)
+        return only_result(self.energy_reports(J, [("i", lam)]))
 
     def energy_ii(self, lam: float, J: int = 10) -> EnergyReport:
         """int over Whitney cells of |Dh|^2 log^lambda(2/(1-|z|))."""
-        return self._energy("ii", lam, J)
+        return only_result(self.energy_reports(J, [("ii", lam)]))
 
     # -- diagnostics -------------------------------------------------------
 

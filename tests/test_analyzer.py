@@ -236,12 +236,14 @@ def test_analyze_equals_the_one_lambda_functions_bit_for_bit():
 
 
 def test_a_failing_lambda_leaves_the_others():
-    cfg = dict(conditions=("iii", "iv", "v"))
-    both = analyze(quick_config(lambdas=(0.0, 1000.0), **cfg))["results"]
-    alone = analyze(quick_config(lambdas=(0.0,), **cfg))["results"]
-    assert both["0.0"] == alone["0.0"]
-    assert {e["status"] for e in both["0.0"]["conditions"].values()} == {"ok"}
-    assert {e["status"] for e in both["1000.0"]["conditions"].values()} == {"failed"}
+    # each group of conditions: the (iii)-(v) engines overflow at lambda = 1000;
+    # log(e + |Dh|)**1000 is finite where |Dh| = 1, log(e + 1)**10000 is not
+    for conditions, huge in ((("iii", "iv", "v"), 1000.0), (("i", "ii"), 10000.0)):
+        both = analyze(quick_config(lambdas=(0.0, huge), conditions=conditions))["results"]
+        alone = analyze(quick_config(lambdas=(0.0,), conditions=conditions))["results"]
+        assert both["0.0"] == alone["0.0"]
+        assert {e["status"] for e in both["0.0"]["conditions"].values()} == {"ok"}
+        assert {e["status"] for e in both[repr(huge)]["conditions"].values()} == {"failed"}
 
 
 def test_dyadic_conditions_share_one_lift(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,19 @@ def test_analyze_exits_2_after_reporting_failed_conditions(tmp_path, capsys):
     assert main([*args, "--out", str(tmp_path)]) == 2
     assert "verdict mixed/flagged" in capsys.readouterr().out
     assert (tmp_path / "report.json").is_file()
+
+
+def test_huge_disk_lambda_fails_its_entries_without_warnings(capsys):
+    # log(2/(1-r))**1000 overflows a double; the overflow is a failed entry
+    args = ["analyze", "--map", "identity", "--lambda", "0,1000", "--conditions", "i,ii",
+            "--disk-levels", "6", "--n-boundary", "256"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 2
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert {e["status"] for e in results["1000.0"]["conditions"].values()} == {"failed"}
+    assert {e["status"] for e in results["0.0"]["conditions"].values()} == {"ok"}
 
 
 def test_out_of_range_levels_rejected_before_any_work(capsys):

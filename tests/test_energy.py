@@ -12,6 +12,7 @@ from circle_energy.energy import (MAX_J, _BLOCK_ROUNDINGS, EnergyReport, _part_s
                                   dyadic_energy_v, make_report)
 from circle_energy.errors import (DomainError, InsufficientDataError,
                                   NumericalError, ResourceGuardError)
+from circle_energy.poisson import HarmonicExtension
 
 TWO_PI = 2.0 * math.pi
 
@@ -227,6 +228,37 @@ def test_reports_equal_the_fsum_reference(families):
                 for got, want in zip(rep.per_level, per_level, strict=True):
                     assert got == pytest.approx(want, rel=tol, abs=0.0), (name, lam, cond)
                 assert rep.total == pytest.approx(total, rel=tol, abs=0.0), (name, lam, cond)
+
+
+def _disk_products(field, cond, lam):
+    """Each level's (i) or (ii) products, formed as the disk engine forms them."""
+    products = []
+    for norm, w, r in field:
+        mass = (norm * norm * w).ravel()
+        base = np.log(math.e + norm) if cond == "i" else np.log(2.0 / (1.0 - r)) + 0.0 * norm
+        products.append(mass if lam == 0.0 else np.power(base.ravel(), lam) * mass)
+    return products
+
+
+def test_disk_reports_within_the_stated_bound_of_fsum(families):
+    # a level's pairwise sum of n products lies within gamma_(ceil(log2 n) + 17)
+    # of their exact sum and the total one rounding further; each math.fsum
+    # rounds once, so the reference total is within gamma_2 of the exact one
+    cases = [(m, 4, 10) for m in families.values()]
+    cases.append((families["mobius_trace"], 12, 12))   # 144 * 4096 products at level 12
+    tasks = [(c, lam) for c in ("i", "ii") for lam in (-0.5, 0.0, 1.0, 2.0)]
+    for m, g, J in cases:
+        ext = HarmonicExtension(m, n_boundary=2 ** 14, gauss_order=g)
+        reports = ext.energy_reports(J, tasks)
+        for (cond, lam), rep in reports.items():
+            wants = []
+            for got, p in zip(rep.per_level, _disk_products(ext._whitney_field(J), cond, lam),
+                              strict=True):
+                assert p.size < 2 ** 21
+                k = (p.size - 1).bit_length() + _BLOCK_ROUNDINGS
+                wants.append(math.fsum(p.tolist()))
+                assert got == pytest.approx(wants[-1], rel=_gamma(k + 1), abs=0.0), (m.kind, cond)
+            assert rep.total == pytest.approx(math.fsum(wants), rel=_gamma(k + 3), abs=0.0)
 
 
 # -- classification -----------------------------------------------------------

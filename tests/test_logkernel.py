@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from circle_energy.circle_map import identity_map
+from circle_energy.circle_map import CircleHomeomorphism, identity_map
 from circle_energy.errors import DomainError, NumericalError, ResourceGuardError
-from circle_energy.logkernel import (band_weight, interval_weight,
+from circle_energy.logkernel import (LogKernel, band_weight, interval_weight,
                                      lambda_weight, log_energy_direct,
                                      log_energy_dyadic, sublevel_arc_measure,
                                      sublevel_integral)
@@ -84,6 +85,30 @@ def test_identity_sublevel_integral_closed_form(identity):
     for t in (0.1, 0.7):
         assert sublevel_integral(identity, t) == pytest.approx(
             8.0 * math.pi * math.asin(0.5 * t), rel=1e-12)
+
+
+def test_log_kernel_lifts_each_source_grid_once(families, monkeypatch):
+    lifted = []
+    original = CircleHomeomorphism.lift_values
+
+    def counting(self, thetas):
+        lifted.append(np.shape(thetas))
+        return original(self, thetas)
+
+    for name, m in families.items():
+        bands = [sublevel_integral(m, 2.0 ** -j) for j in range(1, 15)]
+        monkeypatch.setattr(CircleHomeomorphism, "lift_values", counting)
+        lifted.clear()
+        kernel = LogKernel(m, 14, direct_resolution=512)
+        # the 1024-cell source grid, lo and hi of 14 bands, the 512-cell grid
+        # that the pair grid and the 45 tail radii share, lo and hi of the tail
+        assert lifted == [(1025,), (14, 1024), (14, 1024), (513,), (45, 512), (45, 512)]
+        monkeypatch.undo()
+        assert kernel._bands == bands, name       # one dot per band: bit for bit
+        for lam in (0.0, 1.0):
+            kernel.dyadic(lam), kernel.direct(lam)
+        assert kernel._direct_parts is kernel._dyadic_parts
+        assert kernel._direct_parts.cache_info().misses == 2
 
 
 def test_sublevel_measure_saturates(identity):
