@@ -76,6 +76,9 @@ class AnalysisConfig:
             if not (isinstance(value, int) and lo <= value <= hi):
                 raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], "
                                       f"got {value!r}")
+        if self.n_boundary < 2 ** (self.j_disk + 4):   # else aliasing swamps (i)/(ii)
+            raise ValidationError(f"n_boundary must be at least 2**(j_disk + 4) = "
+                                  f"{2 ** (self.j_disk + 4)}, got {self.n_boundary}")
 
     def build_map(self) -> CircleHomeomorphism:
         return CircleHomeomorphism.from_spec(self.map_spec)

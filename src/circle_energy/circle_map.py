@@ -54,10 +54,11 @@ def _clamped(x, name: str) -> float:
     return min(TWO_PI, max(0.0, v))
 
 
-def uniform_edges(n: int) -> np.ndarray:
-    """The n + 1 edges 2*pi*k/n of n equal cells, the last exactly 2*pi."""
-    edges = TWO_PI * np.arange(n + 1) / n
-    edges[-1] = TWO_PI
+def uniform_edges(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Edges 2*pi*k/n of n equal cells, k in range(start, stop) (all n + 1 by
+    default), the edge k = n exactly 2*pi."""
+    edges = TWO_PI * np.arange(start, n + 1 if stop is None else min(stop, n + 1)) / n
+    edges[n - start:] = TWO_PI
     return edges
 
 

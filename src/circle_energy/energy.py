@@ -13,12 +13,15 @@ Each part is summed by numpy's pairwise np.sum: blocks of at most 128 terms
 in 8 partial sums, longer arrays halved.  For n <= 2**21 terms no term passes
 through more than k = ceil(log2 n) + 17 roundings (checked for every such n
 against that splitting rule), so a sum of nonnegative terms lies within
-gamma_k = k u / (1 - k u), u = 2**-53, relative of its exact value.  The (iv)
-weight j**lambda is constant on a level and scales the two part sums once; a
-level term adds them, and P1 and P2 are the math.fsum of their parts over the
-levels.  So every level term, P1, P2 and total of a depth-J sum lies within
-gamma_(J+20), 4.4e-15 at J = 20, of the exact sum of its computed terms.  A
-report's total is P1 + P2 of its chi-split, so the partition identity is exact.
+gamma_k = k u / (1 - k u), u = 2**-53, relative of its exact value.  An (iv)/(v)
+level comes in blocks of at most 2**16 lengths, so no temporary spans a whole
+level; a part's level sum is the math.fsum of its block sums: the block sum
+itself for j <= 16, else 33 roundings and one more, within j + 17.  The (iv)
+weight j**lambda scales each block's part sums once; a level term adds the two
+parts, and P1 and P2 are the math.fsum of their parts over the levels.  So every
+level term, P1, P2 and total of a depth-J sum lies within gamma_(J+20), 4.4e-15
+at J = 20, of the exact sum of its computed terms.  A report's total is P1 + P2
+of its chi-split, so the partition identity is exact.
 An (i)/(ii) level has n = g**2 2**j <= 2**(j+8) products (g <= 12, J <= 12):
 its term lies within gamma_(J+25) and its total within gamma_(J+26), 4.2e-15
 at J = 12.  That gives up math.fsum's correct rounding for a bound far below
@@ -38,6 +41,7 @@ from .errors import (DomainError, InsufficientDataError, NumericalError, check_l
 
 MAX_J = 20
 _BLOCK_ROUNDINGS = 17   # np.sum of n <= 2**21 terms: k <= ceil(log2 n) + 17
+_BLOCK = 2 ** 16        # lengths per (iv)/(v) block: 2**14 and 2**17 were slower
 DEFAULT_SLOPE_EPS = 0.05
 
 CONVERGENT = "convergent"
@@ -97,12 +101,8 @@ def make_report(condition: str, lam: float, J: int, levels, per_level,
     per_level = tuple(float(s) for s in per_level)
     if not all(map(math.isfinite, per_level)):
         raise NumericalError(f"non-finite ({condition}) level term at lambda={lam}")
-    cum, run = [], []
-    for s in per_level:
-        run.append(s)
-        cum.append(math.fsum(run))
-    if total is None:
-        total = cum[-1] if cum else 0.0
+    cum = [_fsum(per_level[:k]) for k in range(1, len(per_level) + 1)]
+    total = _finite((cum[-1] if cum else 0.0) if total is None else total)[0]
     try:
         cls = classify_sequence(levels, per_level)
     except InsufficientDataError:
@@ -122,6 +122,14 @@ def _finite(*sums: float) -> tuple[float, ...]:
     return sums
 
 
+def _fsum(values) -> float:
+    """math.fsum of level or block sums; a sum beyond a double is a NumericalError."""
+    try:
+        return _finite(math.fsum(values))[0]
+    except OverflowError:
+        raise NumericalError("energy sum overflows a double") from None
+
+
 def _part_sums(parts) -> tuple[float, ...]:
     """The pairwise np.sum of each part, within the module docstring's bound."""
     with np.errstate(over="ignore"):
@@ -131,47 +139,56 @@ def _part_sums(parts) -> tuple[float, ...]:
 def _level_sums(levels, tasks, conditions) -> dict:
     """Per-level part sums of every (condition, lambda) task, in one pass.
 
-    `levels` yields per level (masses, bases): the 1-D masses m of each part
-    and, per condition, the base b of its terms m * b**lambda, either a float
-    constant on the level or one array per part.  One sum of m per part serves
-    every lambda = 0 and constant-base task.  A task meeting a non-finite sum
-    gets its NumericalError in place of its sums; argument errors raise for
-    the whole call.
+    `levels` yields per level its blocks (masses, bases): the 1-D masses m of
+    each part and, per condition, the base b of its terms m * b**lambda, a
+    float constant on the level or one array per part.  One sum of m per part
+    and block serves every lambda = 0 and constant-base task; the block sums
+    are math.fsum-ed.  A task meeting a non-finite sum gets its NumericalError
+    in place of its sums; argument errors raise for the whole call.
     """
     for condition, lam in tasks:
         check_lambda(lam)
         if condition not in conditions:
             raise DomainError(f"unknown condition {condition!r}, expected {conditions}")
     out = {task: [] for task in tasks}
-    for masses, bases in levels:
-        plain = None
-        for (condition, lam), sums in out.items():
-            if isinstance(sums, NumericalError):
-                continue
-            base = bases[condition]
+    for blocks in levels:
+        level = {task: [] for task, sums in out.items() if isinstance(sums, list)}
+        for masses, bases in blocks:
+            plain = None
+            for (condition, lam), sums in list(level.items()):
+                base = bases[condition]
+                try:
+                    if lam == 0.0 or isinstance(base, float):
+                        if plain is None:
+                            plain = _part_sums(masses)
+                        w = checked_pow(base, lam) if isinstance(base, float) else 1.0
+                        sums.append(_finite(*(w * s for s in plain)))
+                        continue
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        terms = [np.power(b, lam) * m for b, m in zip(base, masses)]
+                    sums.append(_part_sums(terms))
+                except NumericalError as exc:
+                    out[condition, lam] = exc
+                    del level[condition, lam]
+        for task, sums in level.items():
             try:
-                if lam == 0.0 or isinstance(base, float):
-                    if plain is None:
-                        plain = _part_sums(masses)
-                    w = checked_pow(base, lam) if isinstance(base, float) else 1.0
-                    sums.append(_finite(*(w * s for s in plain)))
-                    continue
-                with np.errstate(over="ignore", invalid="ignore"):
-                    terms = [np.power(b, lam) for b in base]
-                    for t, m in zip(terms, masses):
-                        t *= m
-                sums.append(_part_sums(terms))
+                out[task].append(tuple(map(_fsum, zip(*sums))))
             except NumericalError as exc:
-                out[condition, lam] = exc
+                out[task] = exc
     return out
 
 
 def level_reports(levels, J: int, tasks, conditions) -> dict:
     """Each task's report, or its NumericalError; a two-part total is P1 + P2."""
-    return {(c, lam): sums if isinstance(sums, NumericalError) else make_report(
-                c, lam, J, range(1, J + 1), [sum(s) for s in sums],
-                total=sum(map(math.fsum, zip(*sums))))
-            for (c, lam), sums in _level_sums(levels, tasks, conditions).items()}
+    out = _level_sums(levels, tasks, conditions)
+    for (c, lam), sums in out.items():
+        try:
+            if not isinstance(sums, NumericalError):
+                out[c, lam] = make_report(c, lam, J, range(1, J + 1), [sum(s) for s in sums],
+                                          total=sum(map(_fsum, zip(*sums))))
+        except NumericalError as exc:
+            out[c, lam] = exc
+    return out
 
 
 def only_result(results: dict):
@@ -183,18 +200,22 @@ def only_result(results: dict):
 
 
 def _dyadic_levels(map_: CircleHomeomorphism, J: int, tasks):
-    """Each level's chi-split l**2, the (iv) weight j and, for a weighted (v)
-    task, log(e + l * 2**j) per part, from one lift at the level-J edges."""
+    """Per level, blocks of at most _BLOCK lengths: chi-split l**2, the (iv) weight j
+    and, for a weighted (v) task, log(e + l * 2**j), from one lift made in blocks."""
     check_level(J, MAX_J, minimum=0, what="J")
     weighted_v = any(c == "v" and lam != 0.0 for c, lam in tasks)
-    lift = map_.lift_values(uniform_edges(2 ** J))
-    for j in range(1, J + 1):
-        lengths = np.diff(lift[::2 ** (J - j)])
-        if j == J:
-            del lift   # its last use: free it before the largest level's sums
+    lift = np.empty(2 ** J + 1)
+    for lo in range(0, lift.size, _BLOCK):
+        lift[lo:lo + _BLOCK] = map_.lift_values(uniform_edges(2 ** J, lo, lo + _BLOCK))
+    return (_level_blocks(lift[::2 ** (J - j)], j, weighted_v) for j in range(1, J + 1))
+
+
+def _level_blocks(points, j: int, weighted_v: bool):
+    """Level j's blocks (masses, bases) from its 2**j + 1 lifted edges."""
+    for lo in range(0, points.size - 1, _BLOCK):
+        lengths = np.diff(points[lo:lo + _BLOCK + 1])
         chi = lengths > 2.0 ** (-0.75 * j)
         parts = (lengths[~chi], lengths[chi])
-        del lengths, chi
         logs = [np.log(p * 2.0 ** j + math.e) for p in parts] if weighted_v else None
         yield [np.multiply(p, p, out=p) for p in parts], {"iv": float(j), "v": logs}
 
@@ -231,7 +252,7 @@ def comparability_split(map_: CircleHomeomorphism, lam: float, J: int,
     """
     tasks = [(condition, lam)]
     sums = only_result(_level_sums(_dyadic_levels(map_, J, tasks), tasks, ("iv", "v")))
-    return math.fsum(s[1] for s in sums), math.fsum(s[0] for s in sums)
+    return _fsum(s[1] for s in sums), _fsum(s[0] for s in sums)
 
 
 def chi_bound(lam: float, J: int, condition: str = "iv") -> float:

@@ -213,8 +213,8 @@ class HarmonicExtension:
         return level_reports(self._disk_levels(J, tasks), J, tasks, ("i", "ii"))
 
     def _disk_levels(self, J: int, tasks):
-        """Each level's masses |Dh|^2 w and the bases log(e + |Dh|) of (i) and
-        log(2/(1-r)) of (ii) that a task with lambda != 0 needs, flattened."""
+        """Each level as one block: masses |Dh|^2 w and the bases log(e + |Dh|)
+        of (i) and log(2/(1-r)) of (ii) that a task with lambda != 0 needs."""
         weighted = {c for c, lam in tasks if lam != 0.0}
         for j, (norm, w, r) in enumerate(self._whitney_field(J), start=1):
             # log(2/(1-r)) must sit in [j ln 2, (j+1) ln 2] at the Gauss radii,
@@ -224,9 +224,9 @@ class HarmonicExtension:
             if np.any(logw < lo - 1e-9) or np.any(logw > hi + 1e-9):
                 raise NumericalError(
                     f"(ii) weight escaped its comparability window at level {j}")
-            yield ((norm * norm * w).ravel(),), {   # column b of a level is radius b
+            yield [(((norm * norm * w).ravel(),), {   # column b of a level is radius b
                 "i": (np.log(math.e + norm.ravel()),) if "i" in weighted else None,
-                "ii": (np.tile(logw, len(norm)),) if "ii" in weighted else None}
+                "ii": (np.tile(logw, len(norm)),) if "ii" in weighted else None})]
 
     def energy_i(self, lam: float, J: int = 10) -> EnergyReport:
         """int over Whitney cells of |Dh|^2 log^lambda(e + |Dh|)."""

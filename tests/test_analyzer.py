@@ -67,11 +67,18 @@ def test_level_and_thread_bounds():
     ("direct_resolution", logkernel.MIN_RESOLUTION, logkernel.MAX_RESOLUTION),
 ])
 def test_config_bounds_are_the_module_guards(name, lowest, highest):
+    # the aliasing guard n_boundary >= 2^(j_disk + 4) asks 2^16 nodes at j_disk = 12,
+    # and at quick_config's j_disk = 6 it lifts the n_boundary floor from 2^8 to 2^10
+    nodes = {"n_boundary": 2 ** 16} if name == "j_disk" else {}
+    if name == "n_boundary":
+        with pytest.raises(ValidationError, match=name):
+            quick_config(n_boundary=lowest)
+        lowest = 2 ** 10
     for value in (lowest, highest):
-        assert getattr(quick_config(**{name: value}), name) == value
+        assert getattr(quick_config(**nodes, **{name: value}), name) == value
     for value in (lowest - 1, highest + 1):
         with pytest.raises(ValidationError, match=name):
-            quick_config(**{name: value})
+            quick_config(**nodes, **{name: value})
 
 
 # -- analyze ----------------------------------------------------------------------------
@@ -259,6 +266,10 @@ def test_dyadic_conditions_share_one_lift(monkeypatch):
         lifted.clear()
         analyze(quick_config(lambdas=lambdas, conditions=("iv", "v")))
         assert lifted == [2 ** 8 + 1], lambdas
+        # at J = 18 the one lift is made in blocks of edges, each lifted once
+        lifted.clear()
+        analyze(quick_config(lambdas=lambdas, conditions=("iv", "v"), j_dyadic=18))
+        assert sum(lifted) == 2 ** 18 + 1, (lambdas, lifted)
 
 
 @st.composite

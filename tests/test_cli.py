@@ -50,16 +50,39 @@ def test_analyze_exits_2_after_reporting_failed_conditions(tmp_path, capsys):
 
 
 def test_huge_disk_lambda_fails_its_entries_without_warnings(capsys):
-    # log(2/(1-r))**1000 overflows a double; the overflow is a failed entry
-    args = ["analyze", "--map", "identity", "--lambda", "0,1000", "--conditions", "i,ii",
-            "--disk-levels", "6", "--n-boundary", "256"]
+    # log(e + |Dh|)**10000 and log(2/(1-r))**10000 overflow a double; the
+    # overflow is a failed entry (at N_b = 1024, |Dh| = 1 keeps (i) finite at 1000)
+    args = ["analyze", "--map", "identity", "--lambda", "0,10000", "--conditions", "i,ii",
+            "--disk-levels", "6", "--n-boundary", "1024"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(args) == 2
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     results = json.loads(capsys.readouterr().out)["results"]
-    assert {e["status"] for e in results["1000.0"]["conditions"].values()} == {"failed"}
+    assert {e["status"] for e in results["10000.0"]["conditions"].values()} == {"failed"}
     assert {e["status"] for e in results["0.0"]["conditions"].values()} == {"ok"}
+
+
+def test_overflowing_level_sum_fails_its_entries(capsys):
+    # at lambda = 897 each (v) level term of the identity is finite but their
+    # sum is not; the (iv) weight 3^897 overflows on its own
+    args = ["analyze", "--map", "identity", "--conditions", "iv,v", "--lambda", "0,897",
+            "--levels", "10"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert {e["status"] for e in results["897.0"]["conditions"].values()} == {"failed"}
+    assert {e["status"] for e in results["0.0"]["conditions"].values()} == {"ok"}
+
+
+def test_disk_config_below_the_aliasing_guard_rejected(capsys):
+    args = ["analyze", "--map", "identity", "--conditions", "i", "--lambda", "0",
+            "--disk-levels", "12"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "n_boundary" in captured.err
+    assert captured.out == ""
 
 
 def test_out_of_range_levels_rejected_before_any_work(capsys):

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from circle_energy.circle_map import catalog
-from circle_energy.energy import (MAX_J, _BLOCK_ROUNDINGS, EnergyReport, _part_sums,
-                                  chi_bound, classify_convergence, classify_sequence,
+from circle_energy.circle_map import CircleHomeomorphism, catalog, uniform_edges
+from circle_energy.energy import (_BLOCK, MAX_J, _BLOCK_ROUNDINGS, EnergyReport,
+                                  _dyadic_levels, _level_sums, _part_sums, chi_bound,
+                                  classify_convergence, classify_sequence,
                                   comparability_split, dyadic_energy_iv,
-                                  dyadic_energy_v, make_report)
+                                  dyadic_energy_v, dyadic_reports, make_report)
 from circle_energy.errors import (DomainError, InsufficientDataError,
                                   NumericalError, ResourceGuardError)
 from circle_energy.poisson import HarmonicExtension
@@ -215,19 +217,104 @@ def _fsum_reference(m, lam, J, condition):
 
 
 def test_reports_equal_the_fsum_reference(families):
-    # the kernel lies within gamma_(J+20) of the exact sum of its terms and
-    # the reference within gamma_3 (one rounding per (iv) term, one per fsum,
-    # one adding P1 and P2), so the two differ by less than gamma_(J+24)
-    J = 14
+    # the kernel lies within gamma_(J+20) of the exact sum of its terms, also
+    # on the blocked levels past 2^16, and the reference within gamma_3 (one
+    # rounding per (iv) term, one per fsum, one adding P1 and P2), so the two
+    # differ by less than gamma_(J+24)
+    for J, names in ((14, tuple(families)), (18, ("identity", "power", "smoothed_cantor"))):
+        tol = _gamma(J + 24)
+        for name in names:
+            for lam in (-0.5, 0.0, 1.0):
+                for cond, fn in (("iv", dyadic_energy_iv), ("v", dyadic_energy_v)):
+                    rep = fn(families[name], lam, J)
+                    per_level, total = _fsum_reference(families[name], lam, J, cond)
+                    for got, want in zip(rep.per_level, per_level, strict=True):
+                        assert got == pytest.approx(want, rel=tol, abs=0.0), (name, J, lam, cond)
+                    assert rep.total == pytest.approx(total, rel=tol, abs=0.0), (name, J, lam)
+
+
+# -- blocked levels -------------------------------------------------------------
+
+def _lift_maps(families):
+    return [*families.values(),
+            CircleHomeomorphism.create("mobius_trace", {"a": [0.3, -0.4]}),
+            CircleHomeomorphism.create("power", {"p": 0.5})]
+
+
+@pytest.mark.parametrize("J", [8, 16, 17, 20])
+def test_blocked_lift_equals_the_whole_lift(families, monkeypatch, J):
+    # the blocks' edges tile uniform_edges(2^J) and their lifts equal the whole
+    # grid's bit for bit, so level J's l^2 are those of the whole lift
+    lifted = []
+    original = CircleHomeomorphism.lift_values
+
+    def recording(self, thetas):
+        lifted.append((np.array(thetas), original(self, thetas)))
+        return lifted[-1][1]
+
+    monkeypatch.setattr(CircleHomeomorphism, "lift_values", recording)
+    edges = uniform_edges(2 ** J)
+    for m in _lift_maps(families):
+        lifted.clear()
+        *_, level_j = _dyadic_levels(m, J, [("iv", 0.0)])
+        whole = original(m, edges)
+        assert [e.size for e, _ in lifted] == [min(_BLOCK, edges.size - lo)
+                                                for lo in range(0, edges.size, _BLOCK)]
+        assert np.concatenate([e for e, _ in lifted]).tobytes() == edges.tobytes()
+        assert np.concatenate([v for _, v in lifted]).tobytes() == whole.tobytes(), m.kind
+        squares = np.concatenate([p for masses, _ in level_j for p in masses])
+        assert np.sort(squares).tobytes() == np.sort(np.diff(whole) ** 2).tobytes()
+
+
+def test_blocks_with_an_empty_chi_part():
+    # slope 3.8 on the first quarter puts every level-18 length of the first
+    # block above 2^(-13.5) and slope 1/15 puts the other three blocks below it
+    m = CircleHomeomorphism.create(
+        "piecewise_linear", {"knots": [[0.0, 0.0], [math.pi / 2, 1.9 * math.pi],
+                                       [TWO_PI, TWO_PI]]})
+    J = 18
+    *_, level_j = _dyadic_levels(m, J, [("v", 1.0)])
+    assert [tuple(p.size for p in masses) for masses, _ in level_j] == [
+        (0, _BLOCK), (_BLOCK, 0), (_BLOCK, 0), (_BLOCK, 0)]
     tol = _gamma(J + 24)
-    for name, m in families.items():
-        for lam in (-0.5, 0.0, 1.0):
-            for cond, fn in (("iv", dyadic_energy_iv), ("v", dyadic_energy_v)):
-                rep = fn(m, lam, J)
-                per_level, total = _fsum_reference(m, lam, J, cond)
-                for got, want in zip(rep.per_level, per_level, strict=True):
-                    assert got == pytest.approx(want, rel=tol, abs=0.0), (name, lam, cond)
-                assert rep.total == pytest.approx(total, rel=tol, abs=0.0), (name, lam, cond)
+    for lam in (-0.5, 0.0, 1.0):
+        for cond, fn in (("iv", dyadic_energy_iv), ("v", dyadic_energy_v)):
+            per_level, total = _fsum_reference(m, lam, J, cond)
+            rep = fn(m, lam, J)
+            np.testing.assert_allclose(rep.per_level, per_level, rtol=tol, atol=0.0)
+            assert rep.total == pytest.approx(total, rel=tol, abs=0.0)
+            p1, p2 = comparability_split(m, lam, J, condition=cond)
+            assert p1 + p2 == rep.total
+
+
+def test_a_non_finite_later_block_fails_only_its_task():
+    ones = (np.ones(1), np.ones(1))
+
+    def level(*v_bases):
+        return [(ones, {"iv": 2.0, "v": (np.array([b]), np.array([2.0]))}) for b in v_bases]
+
+    # (v) at lambda = 2 meets (1e200)^2 in the second block of level 2; at
+    # lambda = 1 each block of level 3 is finite but their math.fsum is not
+    levels = [level(2.0, 2.0), level(2.0, 1e200), level(1e308, 1e308)]
+    tasks = [("iv", 1.0), ("v", 0.0), ("v", 1.0), ("v", 2.0)]
+    out = _level_sums(iter(levels), tasks, ("iv", "v"))
+    assert isinstance(out["v", 2.0], NumericalError)
+    assert isinstance(out["v", 1.0], NumericalError)
+    assert out["iv", 1.0] == [(4.0, 4.0)] * 3
+    assert out["v", 0.0] == [(2.0, 2.0)] * 3
+
+
+def test_dyadic_peak_memory_within_the_blocks(families):
+    # the level-20 lift is 8.4 MB and a block's temporaries a few 2^16-double
+    # arrays; whole-level temporaries took the parent of the blocks to 36 MB
+    tasks = [(c, lam) for c in ("iv", "v") for lam in (-0.5, 0.0, 1.0)]
+    tracemalloc.start()
+    try:
+        dyadic_reports(families["piecewise_linear"], MAX_J, tasks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def _disk_products(field, cond, lam):
