@@ -58,6 +58,9 @@ class PolygonDomain:
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
             raise DomainError("polygon needs an (n, 2) array with n >= 3")
+        if not np.isfinite(verts).all():
+            k = int(np.argmin(np.isfinite(verts).all(axis=1)))
+            raise ValidationError(f"polygon vertex {k} is not finite: {verts[k].tolist()}")
         if np.hypot(*(verts[0] - verts[-1])) < _EPS:
             verts = verts[:-1]
         self.vertices = verts
@@ -77,22 +80,27 @@ class PolygonDomain:
         self._check_simple()
 
     def _check_simple(self) -> None:
-        """Exact-orientation test that no two non-adjacent edges cross."""
+        """Exact-orientation test that no two non-adjacent edges cross, over the
+        (i, j) pairs in row blocks of at most _BLOCK_ENTRIES."""
         v, w = self.vertices, self._next_vertices
         n = self.n
-        i, j = np.triu_indices(n, k=2)
-        keep = ~((i == 0) & (j == n - 1))     # wrap-around adjacency
-        i, j = i[keep], j[keep]
-        a, b, c, d = v[i], w[i], v[j], w[j]
-        d1 = _cross(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1], c[:, 0] - a[:, 0], c[:, 1] - a[:, 1])
-        d2 = _cross(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1], d[:, 0] - a[:, 0], d[:, 1] - a[:, 1])
-        d3 = _cross(d[:, 0] - c[:, 0], d[:, 1] - c[:, 1], a[:, 0] - c[:, 0], a[:, 1] - c[:, 1])
-        d4 = _cross(d[:, 0] - c[:, 0], d[:, 1] - c[:, 1], b[:, 0] - c[:, 0], b[:, 1] - c[:, 1])
-        crossing = (d1 * d2 < -_EPS) & (d3 * d4 < -_EPS)
-        if np.any(crossing):
-            k = int(np.argmax(crossing))
-            raise ValidationError(
-                f"polygon is not simple: edges {int(i[k])} and {int(j[k])} intersect")
+        rows = max(1, _BLOCK_ENTRIES // n)
+        for start in range(0, n, rows):
+            block = np.arange(start, min(start + rows, n))[:, None]
+            i, j = np.nonzero(np.arange(n) >= block + 2)
+            i += start
+            keep = ~((i == 0) & (j == n - 1))     # wrap-around adjacency
+            i, j = i[keep], j[keep]
+            a, b, c, d = v[i], w[i], v[j], w[j]
+            d1 = _cross(*(b - a).T, *(c - a).T)
+            d2 = _cross(*(b - a).T, *(d - a).T)
+            d3 = _cross(*(d - c).T, *(a - c).T)
+            d4 = _cross(*(d - c).T, *(b - c).T)
+            crossing = (d1 * d2 < -_EPS) & (d3 * d4 < -_EPS)
+            if np.any(crossing):
+                k = int(np.argmax(crossing))
+                raise ValidationError(
+                    f"polygon is not simple: edges {int(i[k])} and {int(j[k])} intersect")
 
     # -- boundary parametrization -----------------------------------------
 
@@ -372,12 +380,14 @@ def save_vertices(P: PolygonDomain, path) -> None:
 def load_vertices(path) -> PolygonDomain:
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"expected 'x y' per line, got {line!r}")
-            rows.append((float(parts[0]), float(parts[1])))
+            try:
+                x, y = map(float, line.split())
+            except ValueError:
+                raise ValidationError(
+                    f"line {number}: expected 'x y' numbers, got {line!r}") from None
+            rows.append((x, y))
     return PolygonDomain(np.asarray(rows))

@@ -153,7 +153,7 @@ def _build_family(kind: str, p: dict):
 
         m1 = (1.0 - a) / (1.0 - np.conj(a))  # image of the base point z = 1
         base = math.atan2(m1.imag, m1.real) % TWO_PI
-        prm = {"a": a if a.imag else a.real}
+        prm = {"a": [a.real, a.imag] if a.imag else a.real}
         return lift, inv, prm, base
 
     if kind == "power":
@@ -232,6 +232,7 @@ class CircleHomeomorphism:
     kind: str
     params: dict = field(compare=False)
     base_point_image: complex
+    _spec_angle: float = field(repr=False, compare=False)   # as given, mod 2 pi
     _lift: Callable = field(repr=False, compare=False)
     _inverse: Callable = field(repr=False, compare=False)
 
@@ -249,6 +250,7 @@ class CircleHomeomorphism:
         angle = (float(base_point_image_angle) + extra) % TWO_PI
         base = complex(math.cos(angle), math.sin(angle))
         return CircleHomeomorphism(kind=kind, params=prm, base_point_image=base,
+                                   _spec_angle=float(base_point_image_angle) % TWO_PI,
                                    _lift=lift, _inverse=inv)
 
     @staticmethod
@@ -274,22 +276,8 @@ class CircleHomeomorphism:
         return CircleHomeomorphism.create(kind, params, base_point_image_angle=float(angle))
 
     def to_spec(self) -> dict:
-        angle = math.atan2(self.base_point_image.imag, self.base_point_image.real) % TWO_PI
-        params = dict(self.params)
-        extra = 0.0
-        if self.kind == "rotation":
-            extra = params["c"] % TWO_PI
-        elif self.kind == "mobius_trace":
-            a = complex(params["a"])
-            m1 = (1.0 - a) / (1.0 - a.conjugate())
-            extra = math.atan2(m1.imag, m1.real) % TWO_PI
-            if a.imag:
-                params["a"] = [a.real, a.imag]
-        return {
-            "kind": self.kind,
-            "params": params,
-            "base_point_image_angle": (angle - extra) % TWO_PI,
-        }
+        return {"kind": self.kind, "params": dict(self.params),
+                "base_point_image_angle": self._spec_angle}
 
     # -- evaluation -----------------------------------------------------
 

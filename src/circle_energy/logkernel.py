@@ -3,8 +3,9 @@
 Direct: tensor-product midpoint quadrature of
 |log|phi^{-1}(xi) - phi^{-1}(eta)||^(lambda+1) over S x S, parametrized by
 source angles so that |d xi| = d mu_f pulls back to exact mass weights.
-Because phi^{-1}(xi) runs over the *source* circle, the chordal distances in
-the integrand live on the uniform source grid whatever the map is.
+The distances then live on the uniform source grid, where a pair's distance
+depends only on its offset d = b - a mod n: the grid sums as n - 1 offsets
+weighted by the cyclic autocorrelation of the cell masses, in O(n) memory.
 
 Dyadic: the layer-cake surrogate.  With Lambda(t) = (lambda+1) log^lambda(1/t)/t
 one has int_t^1 Lambda = log^(lambda+1)(1/t), so the sub-unit region is
@@ -119,21 +120,19 @@ def _check_resolution(resolution: int) -> None:
         raise ResourceGuardError(f"resolution {resolution} exceeds guard {MAX_RESOLUTION}")
 
 
-def _pair_grid(mids: np.ndarray, weights: np.ndarray):
-    """lambda -> (part_one, part_two) of the 2-D midpoint quadrature, once per lambda."""
-    dist = 2.0 * np.abs(np.sin(0.5 * (mids[:, None] - mids[None, :])))
-    ww = weights[:, None] * weights[None, :]
-    with np.errstate(divide="ignore"):
-        logd = np.abs(np.log(np.where(dist > 0.0, dist, 1.0)))
+def _offset_sums(mids: np.ndarray, weights: np.ndarray):
+    """lambda -> (part_one, part_two) of the 2-D midpoint quadrature off its
+    diagonal (offset 0): sum_{d=1}^{n-1} c_d |log dist_d|^(lambda+1), with c the
+    cyclic autocorrelation of the masses, so c_d = sum_a w_a w_(a+d mod n)."""
+    mass = np.correlate(np.concatenate([weights, weights[:-1]]), weights, "valid")[1:]
+    dist = 2.0 * np.sin(0.5 * (mids[1:] - mids[0]))
+    logd = np.abs(np.log(dist))
     far = dist >= 1.0
-    # any floor in (0, t0), t0 = 2 sin(pi/resolution), drops exactly the diagonal cells
-    near = (dist < 1.0) & (dist >= math.sin(math.pi / len(mids)))
 
-    @functools.cache
     def parts(lam: float) -> tuple[float, float]:
         with np.errstate(over="ignore"):
-            weighted = ww * logd ** (lam + 1.0)
-        return float(np.sum(weighted[far])), float(np.sum(weighted[near]))
+            weighted = mass * logd ** (lam + 1.0)
+        return float(np.sum(weighted[far])), float(np.sum(weighted[~far]))
     return parts
 
 
@@ -142,27 +141,26 @@ class LogKernel:
 
     With J: the sublevel integrals of the dyadic bands 1..J.  With
     direct_resolution: those of the direct method's excluded region.  Each
-    source grid is lifted, and each pair grid built and summed per lambda, once.
+    source grid is lifted, and each route's offset masses formed, once.
     """
 
     def __init__(self, map_: CircleHomeomorphism, J: int | None = None,
                  resolution: int = 1024, direct_resolution: int | None = None):
         self.resolution, self.direct_resolution = resolution, direct_resolution
         source = functools.cache(map_.uniform_cells)
-        pairs = functools.cache(lambda res: _pair_grid(*source(res)))
         if J is not None:
             _check_resolution(resolution)
             check_level(J, MAX_J, what="J")
             self._bands = _sublevel_integrals(
                 map_, [2.0 ** -j for j in range(1, J + 1)], *source(resolution))
-            self._dyadic_parts = pairs(min(resolution, 512))
+            self._dyadic_parts = _offset_sums(*source(min(resolution, 512)))
         if direct_resolution is not None:
             _check_resolution(direct_resolution)
             self._t0 = t0 = 2.0 * math.sin(math.pi / direct_resolution)
             self._k = k = math.ceil(-math.log2(t0))
             ts = [t0] + [2.0 ** -j for j in range(k, k + 44)]
             self._tail = _sublevel_integrals(map_, ts, *source(direct_resolution))
-            self._direct_parts = pairs(direct_resolution)
+            self._direct_parts = _offset_sums(*source(direct_resolution))
 
     def direct(self, lam: float) -> LogIntegralResult:
         """log_energy_direct at this lambda."""

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,40 @@ def test_vertex_file_rejects_garbage(tmp_path):
     path.write_text("0.0 0.0\n1.0\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_vertices(path)
+
+
+@pytest.mark.parametrize("line, match", [("nan 1", "vertex 2 is not finite"),
+                                         ("inf 1", "vertex 2 is not finite"),
+                                         ("x 1", "line 3: expected 'x y' numbers")])
+def test_vertex_file_rejects_non_finite_and_non_numeric(tmp_path, line, match):
+    # refused before any arithmetic: a RuntimeWarning on the way fails the test
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 0\n1 0\n{line}\n0 1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=match):
+        load_vertices(path)
+
+
+def test_simplicity_check_reports_first_crossing_across_blocks():
+    # 1000 edges run in blocks of 131 rows; swapping vertices 700 and 701 makes
+    # edges 699 and 701 the first crossing pair in (i, j) order.  The radius
+    # lifts the orientation products above the 1e-12 tolerance.
+    dom = regular_polygon(1000, radius=1000.0)
+    verts = dom.vertices.copy()
+    verts[[700, 701]] = verts[[701, 700]]
+    with pytest.raises(ValidationError, match="edges 699 and 701 intersect"):
+        PolygonDomain(verts)
+
+
+def test_simplicity_check_memory_is_blocked():
+    # all edge pairs at once peaked at 328 MB for these 2122 vertices
+    tracemalloc.start()
+    try:
+        dom = cusp_domain(256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dom.n > 2000
+    assert peak <= 64 * 2 ** 20
 
 
 def test_vertex_file_skips_comments(tmp_path):

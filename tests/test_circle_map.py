@@ -244,6 +244,22 @@ def test_complex_mobius_spec_roundtrip():
     assert again.base_point_image == pytest.approx(m.base_point_image, abs=1e-12)
 
 
+def test_spec_returns_the_given_angle_bit_for_bit():
+    # re-deriving the angle from base_point_image lost ulps, or gave 2 pi for 0
+    rng = np.random.default_rng(7)
+    specs = [{"kind": "rotation", "params": {"c": c}, "base_point_image_angle": 0.0}
+             for c in (0.1, 4.0)]
+    for c, angle in rng.uniform(0.0, TWO_PI, (200, 2)):
+        specs.append({"kind": "rotation", "params": {"c": float(c)},
+                      "base_point_image_angle": float(angle)})
+    for r, arg, angle in rng.uniform(0.0, 1.0, (200, 3)):
+        a = 0.9 * r * complex(math.cos(TWO_PI * arg), math.sin(TWO_PI * arg))
+        specs.append({"kind": "mobius_trace", "params": {"a": [a.real, a.imag]},
+                      "base_point_image_angle": float(TWO_PI * angle)})
+    for spec in specs:
+        assert CircleHomeomorphism.from_spec(spec).to_spec() == spec
+
+
 def test_catalog_covers_every_kind():
     cat = catalog()
     assert sorted(cat) == ["identity", "log_singular", "mobius_trace",

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circle_energy
 from circle_energy.circle_map import CircleHomeomorphism, identity_map
 from circle_energy.errors import DomainError, NumericalError, ResourceGuardError
-from circle_energy.logkernel import (LogKernel, band_weight, interval_weight,
-                                     lambda_weight, log_energy_direct,
-                                     log_energy_dyadic, sublevel_arc_measure,
-                                     sublevel_integral)
+from circle_energy.logkernel import (LogKernel, _offset_sums, band_weight,
+                                     interval_weight, lambda_weight,
+                                     log_energy_direct, log_energy_dyadic,
+                                     sublevel_arc_measure, sublevel_integral)
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,8 +113,6 @@ def test_log_kernel_lifts_each_source_grid_once(families, monkeypatch):
         assert kernel._bands == bands, name       # one dot per band: bit for bit
         for lam in (0.0, 1.0):
             kernel.dyadic(lam), kernel.direct(lam)
-        assert kernel._direct_parts is kernel._dyadic_parts
-        assert kernel._direct_parts.cache_info().misses == 2
 
 
 def test_sublevel_measure_saturates(identity):
@@ -198,6 +202,63 @@ def test_resolution_and_level_guards(identity):
         log_energy_dyadic(identity, 0.0, 41)
     with pytest.raises(DomainError):
         log_energy_dyadic(identity, -1.5, 10)
+
+
+def _pair_grid(mids, weights):
+    """Reference: lambda -> (part_one, part_two) summed over the full n x n grid."""
+    dist = 2.0 * np.abs(np.sin(0.5 * (mids[:, None] - mids[None, :])))
+    ww = weights[:, None] * weights[None, :]
+    with np.errstate(divide="ignore"):
+        logd = np.abs(np.log(np.where(dist > 0.0, dist, 1.0)))
+    far = dist >= 1.0
+    # any floor in (0, t0), t0 = 2 sin(pi/resolution), drops exactly the diagonal cells
+    near = (dist < 1.0) & (dist >= math.sin(math.pi / len(mids)))
+
+    def parts(lam):
+        weighted = ww * logd ** (lam + 1.0)
+        return float(np.sum(weighted[far])), float(np.sum(weighted[near]))
+    return parts
+
+
+def test_offset_sums_match_the_pair_grid(families):
+    # at powers of two no offset sits at distance 1 (measured max 1.9e-14)
+    for name, m in families.items():
+        for resolution in (64, 256, 512, 1024, 2048):
+            cells = m.uniform_cells(resolution)
+            ref, got = _pair_grid(*cells), _offset_sums(*cells)
+            for lam in (-0.5, 0.0, 1.0, 2.0):
+                for r, g in zip(ref(lam), got(lam)):
+                    assert g == pytest.approx(r, rel=1e-13, abs=0.0), (name, resolution, lam)
+
+
+def test_direct_peak_memory_is_linear_in_resolution(families):
+    # the n x n pair grid peaked at 128 MB here; the offset sum needs O(n)
+    m = families["mobius_trace"]
+    tracemalloc.start()
+    try:
+        log_energy_direct(m, 0.0, resolution=2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+def test_direct_total_bytes_do_not_depend_on_blas_threads():
+    # np.correlate reduces each offset with the BLAS dot product
+    src = str(Path(circle_energy.__file__).resolve().parents[1])
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from circle_energy.circle_map import catalog
+from circle_energy.logkernel import log_energy_direct
+print(log_energy_direct(catalog()["mobius_trace"], 0.0, resolution=2048).total.hex())
+"""
+    totals = [subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+              for threads in ("1", "2")]
+    assert totals[0].startswith("0x")
+    assert totals[0] == totals[1]
 
 
 def test_huge_lambda_raises_numerical_error(families):
