@@ -19,8 +19,8 @@ from pathlib import Path
 from . import energy, logkernel, poisson
 from . import report as report_io
 from .circle_map import CircleHomeomorphism
-from .energy import classify_sequence, dyadic_reports, make_report
-from .errors import CircleEnergyError, InsufficientDataError, ValidationError
+from .energy import MIN_CLASSIFY_LEVELS, classify_sequence, dyadic_reports, make_report
+from .errors import CircleEnergyError, ValidationError
 from .logkernel import LogKernel
 from .poisson import HarmonicExtension
 
@@ -28,7 +28,6 @@ CONDITIONS = ("i", "ii", "iii", "iv", "v")
 _MODULE_OF = {"i": "poisson", "ii": "poisson", "iii": "logkernel",
               "iv": "energy", "v": "energy"}
 DEFAULT_LAMBDAS = (-0.5, 0.0, 1.0, 2.0)
-MIN_CLASSIFY_LEVELS = 6
 # field -> (lowest, highest) value the engines accept; j_dyadic feeds (iii)-(v)
 BOUNDS = {
     "j_disk": (MIN_CLASSIFY_LEVELS, poisson.MAX_WHITNEY_J),
@@ -202,11 +201,8 @@ def analyze(config: AnalysisConfig) -> dict:
 
 
 def sweep(config: AnalysisConfig) -> list[dict]:
-    """Partial totals and classifications per (lambda, J); J runs from 6 up.
-
-    Truncations below six levels cannot be classified by the slope fit, so
-    the table starts at J = 6.
-    """
+    """Partial totals and classifications per (lambda, J); J runs up from
+    MIN_CLASSIFY_LEVELS, the fewest levels the slope fit classifies."""
     base = analyze(replace(config, out=None))
     rows = []
     j_max = max(config.j_disk, config.j_dyadic)
@@ -220,11 +216,8 @@ def sweep(config: AnalysisConfig) -> list[dict]:
                     continue
                 present = True
                 row[f"total_{cond}"] = entry["cumulative"][J - 1]
-                try:
-                    row[f"class_{cond}"] = classify_sequence(
-                        entry["levels"][:J], entry["per_level"][:J])
-                except InsufficientDataError:
-                    row[f"class_{cond}"] = "inconclusive"
+                row[f"class_{cond}"] = classify_sequence(
+                    entry["levels"][:J], entry["per_level"][:J])
             if present:
                 rows.append(row)
     if config.out is not None:

@@ -9,6 +9,11 @@ pairs cost one visibility test for all chords, one for the blocked chords'
 (endpoint, reflex vertex) segments and a minimum over the table, run in row
 blocks of about 2^17 (segment, edge) entries so memory stays bounded.
 
+One rule, `_crossings`, decides simplicity and visibility: segment st
+properly crosses edge vw when [(w-v) x (s-v)] [(w-v) x (t-v)] and
+[(t-s) x (v-s)] [(t-s) x (w-s)] both lie below -1e-12 |w-v|^2 |t-s|^2.  The
+products and the tolerance scale alike, as length^4: the rule is scale-free.
+
 The chord-arc constant max ell(w1,w2)/|w1-w2| and its internal variant
 max ell(w1,w2)/lambda(w1,w2) are estimated by stratified pair sampling
 (uniform + antipodal + pairs straddling reflex corners); both are lower
@@ -80,27 +85,20 @@ class PolygonDomain:
         self._check_simple()
 
     def _check_simple(self) -> None:
-        """Exact-orientation test that no two non-adjacent edges cross, over the
-        (i, j) pairs in row blocks of at most _BLOCK_ENTRIES."""
-        v, w = self.vertices, self._next_vertices
+        """No two non-adjacent edges properly cross (`_crossings`), over row
+        blocks of at most _BLOCK_ENTRIES (edge, edge) entries; the first
+        crossing pair in (i, j) order is reported."""
         n = self.n
         rows = max(1, _BLOCK_ENTRIES // n)
         for start in range(0, n, rows):
-            block = np.arange(start, min(start + rows, n))[:, None]
-            i, j = np.nonzero(np.arange(n) >= block + 2)
-            i += start
-            keep = ~((i == 0) & (j == n - 1))     # wrap-around adjacency
-            i, j = i[keep], j[keep]
-            a, b, c, d = v[i], w[i], v[j], w[j]
-            d1 = _cross(*(b - a).T, *(c - a).T)
-            d2 = _cross(*(b - a).T, *(d - a).T)
-            d3 = _cross(*(d - c).T, *(a - c).T)
-            d4 = _cross(*(d - c).T, *(b - c).T)
-            crossing = (d1 * d2 < -_EPS) & (d3 * d4 < -_EPS)
-            if np.any(crossing):
-                k = int(np.argmax(crossing))
+            crossing, _ = self._crossings(self.vertices[start:start + rows],
+                                          self._next_vertices[start:start + rows])
+            crossing = np.triu(crossing, start + 2)   # pairs (i, j) with j >= i + 2
+            crossing[0, n - 1] &= start > 0           # edges 0 and n - 1 are adjacent
+            if crossing.any():
+                i, j = divmod(int(np.argmax(crossing)), n)
                 raise ValidationError(
-                    f"polygon is not simple: edges {int(i[k])} and {int(j[k])} intersect")
+                    f"polygon is not simple: edges {start + i} and {j} intersect")
 
     # -- boundary parametrization -----------------------------------------
 
@@ -168,6 +166,22 @@ class PolygonDomain:
 
     # -- visibility --------------------------------------------------------
 
+    def _crossings(self, starts: np.ndarray, ends: np.ndarray):
+        """(rows, n) mask of segment r properly crossing edge k (the module
+        docstring's rule), and the products (t - s) x (v - s) of each pair."""
+        vx, vy = self.vertices.T[:, None]
+        wx, wy = self._next_vertices.T[:, None]
+        ex, ey = self._edge_vec.T[:, None]
+        sx, sy = starts.T[:, :, None]
+        tx, ty = ends.T[:, :, None]
+        gx, gy = tx - sx, ty - sy
+        d1 = _cross(ex, ey, sx - vx, sy - vy)
+        d2 = _cross(ex, ey, tx - vx, ty - vy)
+        d3 = _cross(gx, gy, vx - sx, vy - sy)
+        d4 = _cross(gx, gy, wx - sx, wy - sy)
+        tol = -_EPS * ((ex * ex + ey * ey) * (gx * gx + gy * gy))
+        return (d1 * d2 < tol) & (d3 * d4 < tol), d3
+
     def _segments_admissible(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """True where the open segment stays in the closed domain.
 
@@ -180,24 +194,17 @@ class PolygonDomain:
         if len(starts) > rows:
             return np.concatenate([self._segments_admissible(starts[i:i + rows], ends[i:i + rows])
                                    for i in range(0, len(starts), rows)])
-        v, w = self.vertices, self._next_vertices
-        ex, ey = self._edge_vec[:, 0][None, :], self._edge_vec[:, 1][None, :]
-        vx, vy = v[:, 0][None, :], v[:, 1][None, :]
-        sx, sy = starts[:, 0][:, None], starts[:, 1][:, None]
-        tx, ty = ends[:, 0][:, None], ends[:, 1][:, None]
-        d1 = _cross(ex, ey, sx - vx, sy - vy)
-        d2 = _cross(ex, ey, tx - vx, ty - vy)
-        gx, gy = tx - sx, ty - sy
-        d3 = _cross(gx, gy, vx - sx, vy - sy)
-        d4 = _cross(gx, gy, (w[:, 0][None, :]) - sx, (w[:, 1][None, :]) - sy)
-        blocked = np.any((d1 * d2 < -_EPS) & (d3 * d4 < -_EPS), axis=1)
-        ok = ~blocked & self._in_closure(0.5 * (starts + ends))
+        crossing, side = self._crossings(starts, ends)
+        ok = ~crossing.any(axis=1) & self._in_closure(0.5 * (starts + ends))
+        vx, vy = self.vertices.T[:, None]
+        sx, sy = starts.T[:, :, None]
+        gx, gy = (ends - starts).T[:, :, None]
         # vertices within _ON_BOUNDARY of the open segment; its ends are dropped,
         # since every visibility segment ends at a reflex vertex
         gg = gx * gx + gy * gy
         along = (vx - sx) * gx + (vy - sy) * gy
         tol = _ON_BOUNDARY * np.sqrt(gg)
-        through = (np.abs(d3) <= tol) & (along > tol) & (along < gg - tol)
+        through = (np.abs(side) <= tol) & (along > tol) & (along < gg - tol)
         for r in np.nonzero(ok & through.any(axis=1))[0]:
             cut = np.concatenate([[0.0], np.sort(along[r, through[r]]) / gg[r, 0], [1.0]])
             u = 0.5 * (cut[:-1] + cut[1:])

@@ -67,17 +67,10 @@ def uniform_edges(n: int, start: int = 0, stop: int | None = None) -> np.ndarray
 
 def _mobius_wrapped(x: np.ndarray, r: float) -> np.ndarray:
     """Continuous increasing extension of the boundary angle distortion of
-    z -> (z - r)/(1 - r z), r real in (-1, 1)."""
+    z -> (z - r)/(1 - r z), r real in (-1, 1); _mobius_wrapped(., -r) is its inverse."""
     k = np.round(x / TWO_PI)
     w = x - TWO_PI * k
     core = 2.0 * np.arctan2((1.0 + r) * np.sin(0.5 * w), (1.0 - r) * np.cos(0.5 * w))
-    return TWO_PI * k + core
-
-
-def _mobius_wrapped_inv(y: np.ndarray, r: float) -> np.ndarray:
-    k = np.round(y / TWO_PI)
-    w = y - TWO_PI * k
-    core = 2.0 * np.arctan2((1.0 - r) * np.sin(0.5 * w), (1.0 + r) * np.cos(0.5 * w))
     return TWO_PI * k + core
 
 
@@ -149,7 +142,7 @@ def _build_family(kind: str, p: dict):
             return _mobius_wrapped(_as_array(t) - alpha, r) - off
 
         def inv(v, r=r, alpha=alpha, off=off):
-            return _mobius_wrapped_inv(_as_array(v) + off, r) + alpha
+            return _mobius_wrapped(_as_array(v) + off, -r) + alpha
 
         m1 = (1.0 - a) / (1.0 - np.conj(a))  # image of the base point z = 1
         base = math.atan2(m1.imag, m1.real) % TWO_PI
@@ -283,10 +276,7 @@ class CircleHomeomorphism:
 
     def eval_lift(self, theta: float) -> float:
         """f(theta) for theta in [0, 2*pi] (1e-12 slack, clamped)."""
-        t = _clamped(theta, "theta")
-        if t in (0.0, TWO_PI):
-            return t
-        return float(self._lift(t))
+        return float(self.lift_values(_clamped(theta, "theta")))
 
     def lift_values(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorised lift on angles already inside [0, 2*pi]."""
@@ -319,15 +309,20 @@ class CircleHomeomorphism:
             b = a
         return self.eval_lift(b) - self.eval_lift(a)
 
-    def cyclic_mass(self, a: float, width: float) -> float:
-        """Mass of the arc [a, a + width] taken cyclically, width in [0, 2*pi]."""
-        if not 0.0 <= width <= TWO_PI:
-            raise DomainError(f"width must lie in [0, 2*pi], got {width}")
-        lo = a % TWO_PI
+    def cyclic_mass(self, a, width):
+        """Mass of the arc [a, a + width] taken cyclically, width in [0, 2*pi];
+        broadcasts over a and width, a float for scalar inputs."""
+        width = _as_array(width)
+        inside = (0.0 <= width) & (width <= TWO_PI)
+        if not inside.all():
+            raise DomainError(f"width must lie in [0, 2*pi], got {width[~inside].flat[0]}")
+        lo = _as_array(a) % TWO_PI
         hi = lo + width
-        if hi <= TWO_PI:
-            return self.eval_lift(hi) - self.eval_lift(lo)
-        return (TWO_PI - self.eval_lift(lo)) + self.eval_lift(hi - TWO_PI)
+        wrap = hi > TWO_PI
+        flo = self.lift_values(lo)
+        fhi = self.lift_values(np.where(wrap, hi - TWO_PI, hi))
+        mass = np.where(wrap, (TWO_PI - flo) + fhi, fhi - flo)
+        return float(mass) if mass.ndim == 0 else mass
 
     def uniform_cells(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Midpoints of n equal cells of [0, 2*pi] and their exact image masses."""

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .circle_map import TWO_PI
 from .errors import DomainError, check_level
-
-TWO_PI = 2.0 * math.pi
 
 MAX_LEVEL = 30          # arcs_at_level guard: 2**30 arcs is already absurd
 MAX_SEED_LEVEL = 24     # annular decompositions stay cheap well past this

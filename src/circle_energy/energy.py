@@ -43,6 +43,7 @@ MAX_J = 20
 _BLOCK_ROUNDINGS = 17   # np.sum of n <= 2**21 terms: k <= ceil(log2 n) + 17
 _BLOCK = 2 ** 16        # lengths per (iv)/(v) block: 2**14 and 2**17 were slower
 DEFAULT_SLOPE_EPS = 0.05
+MIN_CLASSIFY_LEVELS = 6     # fewer levels leave the slope fit too few points
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -74,9 +75,9 @@ def classify_sequence(levels, per_level, eps: float = DEFAULT_SLOPE_EPS) -> str:
     Diagnostic only; a slope inside [-eps, +eps] is deliberately left
     inconclusive rather than forced into a verdict.
     """
-    if len(levels) < 6:
-        raise InsufficientDataError(
-            f"classification needs at least 6 levels, got {len(levels)}")
+    if len(levels) < MIN_CLASSIFY_LEVELS:
+        raise InsufficientDataError(f"classification needs at least "
+                                    f"{MIN_CLASSIFY_LEVELS} levels, got {len(levels)}")
     js = np.asarray(levels, dtype=float)
     ss = np.asarray(per_level, dtype=float)
     half = len(js) // 2

@@ -96,12 +96,7 @@ def sublevel_arc_measure(map_: CircleHomeomorphism, xi_angle: float, t: float) -
 def _sublevel_integrals(map_: CircleHomeomorphism, ts, mids, weights) -> list[float]:
     """sublevel_integral at each t from one source grid, bit for bit: one dot per t."""
     alphas = np.array([2.0 * math.asin(0.5 * t) for t in ts])[:, None]
-    lo = (mids - alphas) % TWO_PI
-    hi = lo + 2.0 * alphas
-    wrap = hi > TWO_PI
-    flo = map_.lift_values(lo)
-    fhi = map_.lift_values(np.where(wrap, hi - TWO_PI, hi))
-    masses = np.where(wrap, (TWO_PI - flo) + fhi, fhi - flo)
+    masses = map_.cyclic_mass(mids - alphas, 2.0 * alphas)
     return [TWO_PI * TWO_PI if 2.0 * a >= TWO_PI else float(np.dot(weights, row))
             for a, row in zip(alphas[:, 0], masses)]
 

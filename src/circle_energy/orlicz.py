@@ -174,12 +174,18 @@ def gauss_legendre(f: Callable, a: float, b: float) -> tuple[float, float]:
 
 # -- doubling diagnostics ----------------------------------------------------
 
-def delta2_constant(f: NFunction, grid=None) -> float:
-    """max over the grid of Phi(2t)/Phi(t); 4 exactly when lambda = 0."""
+def _positive_grid(grid) -> np.ndarray:
+    """The positive points of grid (log_grid() when None); none is a DomainError."""
     ts = log_grid() if grid is None else np.asarray(grid, dtype=float)
     ts = ts[ts > 0]
     if ts.size == 0:
-        raise DomainError("delta2 grid has no positive points")
+        raise DomainError("evaluation grid has no positive points")
+    return ts
+
+
+def delta2_constant(f: NFunction, grid=None) -> float:
+    """max over the grid of Phi(2t)/Phi(t); 4 exactly when lambda = 0."""
+    ts = _positive_grid(grid)
     ratios = np.asarray(f(2.0 * ts)) / np.asarray(f(ts))
     return float(np.max(ratios))
 
@@ -188,8 +194,7 @@ def doubling_window(f: NFunction, c: float, grid=None) -> tuple[float, float]:
     """(min, max) of Phi(c t)/Phi(t) over the grid; both finite and positive."""
     if c <= 0:
         raise DomainError("scale must be positive")
-    ts = log_grid() if grid is None else np.asarray(grid, dtype=float)
-    ts = ts[ts > 0]
+    ts = _positive_grid(grid)
     ratios = np.asarray(f(c * ts)) / np.asarray(f(ts))
     return float(np.min(ratios)), float(np.max(ratios))
 
@@ -203,8 +208,7 @@ def check_kr_criterion(f: NFunction, l: float, grid=None) -> bool:
     """
     if not l > 1.0:
         raise DomainError(f"the criterion needs l > 1, got {l}")
-    ts = log_grid() if grid is None else np.asarray(grid, dtype=float)
-    ts = ts[ts > 0]
+    ts = _positive_grid(grid)
     lhs = np.asarray(f(ts))
     rhs = np.asarray(f(l * ts)) / (2.0 * l)
     return bool(np.all(lhs <= rhs))

@@ -137,7 +137,10 @@ def write_report(doc: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # not JSON, or not UTF-8 text
+        raise ValidationError(f"report {path}: not valid JSON ({exc})") from None
     validate_report(doc)
     return doc
 

@@ -376,13 +376,28 @@ def test_vertex_file_rejects_non_finite_and_non_numeric(tmp_path, line, match):
 
 def test_simplicity_check_reports_first_crossing_across_blocks():
     # 1000 edges run in blocks of 131 rows; swapping vertices 700 and 701 makes
-    # edges 699 and 701 the first crossing pair in (i, j) order.  The radius
-    # lifts the orientation products above the 1e-12 tolerance.
-    dom = regular_polygon(1000, radius=1000.0)
-    verts = dom.vertices.copy()
-    verts[[700, 701]] = verts[[701, 700]]
-    with pytest.raises(ValidationError, match="edges 699 and 701 intersect"):
-        PolygonDomain(verts)
+    # edges 699 and 701 the first crossing pair in (i, j) order.  At radii 1
+    # and 1e-3 the length^4 orientation products lie far below 1e-12, so only a
+    # tolerance that scales with the lengths sees the crossing.
+    for radius in (1.0, 1000.0, 1e-3):
+        verts = regular_polygon(1000, radius=radius).vertices.copy()
+        verts[[700, 701]] = verts[[701, 700]]
+        with pytest.raises(ValidationError, match="edges 699 and 701 intersect"):
+            PolygonDomain(verts)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e4])
+def test_internal_distances_scale_with_the_polygon(scale):
+    # at 1e-4 the orientation products lie below 1e-12: only a crossing
+    # tolerance that scales with the lengths keeps blocked chords blocked
+    rng = np.random.default_rng(3)
+    unit, scaled = PolygonDomain(ZIGZAG), PolygonDomain(np.asarray(ZIGZAG) * scale)
+    a, _ = unit.points_at_arclength(rng.uniform(0, unit.perimeter, 400))
+    b, _ = unit.points_at_arclength(rng.uniform(0, unit.perimeter, 400))
+    d = unit.internal_distances(a, b)
+    assert np.count_nonzero(d > 1.01 * np.hypot(*(a - b).T)) > 100   # many bent paths
+    np.testing.assert_allclose(scaled.internal_distances(a * scale, b * scale) / scale,
+                               d, rtol=1e-13)
 
 
 def test_simplicity_check_memory_is_blocked():

@@ -145,6 +145,51 @@ def test_cyclic_mass_wraps_and_totals(families):
         assert wrap == pytest.approx(direct, abs=1e-14), name
 
 
+def test_cyclic_mass_broadcasts_bit_for_bit(families):
+    # wrapping arcs, negative and large starts, widths 0 and 2 pi
+    rng = np.random.default_rng(7)
+    a = np.concatenate([rng.uniform(-10.0, 20.0, 60), [0.0, TWO_PI, 6.0, -1e-20]])
+    width = np.concatenate([rng.uniform(0.0, TWO_PI, 60), [0.0, TWO_PI, 1.0, 0.0]])
+    for name, m in families.items():
+        masses = m.cyclic_mass(a, width)
+        assert masses.shape == a.shape
+        assert masses.tolist() == [m.cyclic_mass(float(x), float(w))
+                                   for x, w in zip(a, width)], name
+        grid = m.cyclic_mass(a[:, None], width[None, :8])
+        assert grid[:, 3].tolist() == [m.cyclic_mass(float(x), float(width[3]))
+                                       for x in a], name
+    assert isinstance(families["power"].cyclic_mass(1.0, 2.0), float)
+
+
+def test_cyclic_mass_rejects_any_width_out_of_range(identity):
+    for bad in ([0.5, TWO_PI + 1e-9], [-1e-300, 1.0], [1.0, math.nan]):
+        with pytest.raises(DomainError, match="width must lie in"):
+            identity.cyclic_mass(np.zeros(2), np.asarray(bad))
+
+
+def _old_mobius_inverse(a: complex, v: np.ndarray) -> np.ndarray:
+    # reference: the inverse written out, 1 - r and 1 + r where the lift has 1 + r and 1 - r
+    def wrapped_inv(y, r):
+        k = np.round(y / TWO_PI)
+        w = y - TWO_PI * k
+        core = 2.0 * np.arctan2((1.0 - r) * np.sin(0.5 * w), (1.0 + r) * np.cos(0.5 * w))
+        return TWO_PI * k + core
+    r, alpha = abs(a), math.atan2(a.imag, a.real)
+    k = np.round(-alpha / TWO_PI)
+    w = -alpha - TWO_PI * k
+    off = TWO_PI * k + 2.0 * np.arctan2((1.0 + r) * np.sin(0.5 * w),
+                                        (1.0 - r) * np.cos(0.5 * w))
+    return np.clip(wrapped_inv(v + off, r) + alpha, 0.0, TWO_PI)
+
+
+@pytest.mark.parametrize("a", [0.5, [0.3, -0.45]])
+def test_mobius_inverse_is_the_lift_at_minus_r_bit_for_bit(a):
+    m = CircleHomeomorphism.create("mobius_trace", {"a": a})
+    v = np.random.default_rng(11).uniform(0.0, TWO_PI, 200)
+    want = _old_mobius_inverse(complex(*a) if isinstance(a, list) else complex(a), v)
+    assert [m.invert_lift(float(x)) for x in v] == want.tolist()
+
+
 def test_level_image_lengths_partition_circle(families):
     for name, m in families.items():
         lengths = m.level_image_lengths(7)

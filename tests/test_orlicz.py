@@ -83,6 +83,21 @@ def test_doubling_window_finite_positive():
         assert 0.0 < lo <= hi < math.inf
 
 
+@pytest.mark.parametrize("call", [
+    lambda f, grid: delta2_constant(f, grid=grid),
+    lambda f, grid: doubling_window(f, 2.0, grid=grid),
+    lambda f, grid: check_kr_criterion(f, 2.0, grid=grid),
+], ids=["delta2", "doubling", "kr"])
+def test_doubling_diagnostics_reject_grids_without_positive_points(call):
+    # no positive point must not make check_kr_criterion pass vacuously, nor
+    # doubling_window fail inside numpy's max of an empty array
+    f = log_weighted_square(1.0)
+    for grid in ([-1.0, 0.0], [0.0], []):
+        with pytest.raises(DomainError, match="no positive points"):
+            call(f, grid)
+    assert call(f, [-1.0, 0.0, 2.0]) == call(f, [2.0])   # the positive points only
+
+
 def test_log_grid_positive_increasing():
     g = log_grid()
     assert np.all(g > 0) and np.all(np.diff(g) > 0)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -89,6 +90,17 @@ def test_load_rejects_invalid_file(tmp_path):
     path.write_text('{"kind": "equivalence_report"}')
     with pytest.raises(ValidationError):
         report.load_report(path)
+
+
+def test_load_names_a_truncated_or_binary_file(doc, tmp_path):
+    path = tmp_path / "report.json"
+    report.write_report(doc, path)
+    text = path.read_bytes()
+    for broken in (text[:-40], b"\xff" + text):
+        path.write_bytes(broken)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"report {path}: not valid JSON")):
+            report.load_report(path)
 
 
 def test_levels_csv_skips_failed_entries(doc, tmp_path):
