@@ -13,6 +13,8 @@ One rule, `_crossings`, decides simplicity and visibility: segment st
 properly crosses edge vw when [(w-v) x (s-v)] [(w-v) x (t-v)] and
 [(t-s) x (v-s)] [(t-s) x (w-s)] both lie below -1e-12 |w-v|^2 |t-s|^2.  The
 products and the tolerance scale alike, as length^4: the rule is scale-free.
+So are the orientation test, twice the signed area above 1e-12 perimeter^2,
+and the reflex test, turn (e_prev x e) below -1e-12 |e_prev| |e|.
 
 The chord-arc constant max ell(w1,w2)/|w1-w2| and its internal variant
 max ell(w1,w2)/lambda(w1,w2) are estimated by stratified pair sampling
@@ -79,7 +81,7 @@ class PolygonDomain:
         self.perimeter = float(self.cum_lengths[-1])
         nxt = self._next_vertices
         area2 = float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
-        if area2 <= _EPS:
+        if area2 <= _EPS * self.perimeter ** 2:
             raise ValidationError("polygon must be counterclockwise (signed area > 0)")
         self.area = 0.5 * area2
         self._check_simple()
@@ -135,7 +137,8 @@ class PolygonDomain:
         e_prev = np.roll(self._edge_vec, 1, axis=0)
         turn = _cross(e_prev[:, 0], e_prev[:, 1],
                       self._edge_vec[:, 0], self._edge_vec[:, 1])
-        return np.nonzero(turn < -_EPS)[0]
+        scale = np.roll(self.edge_lengths, 1) * self.edge_lengths
+        return np.nonzero(turn < -_EPS * scale)[0]
 
     def contains(self, point, include_boundary: bool = True) -> bool:
         """Even-odd membership; points within 1e-9 of an edge count as boundary."""

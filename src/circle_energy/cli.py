@@ -53,8 +53,8 @@ def _load_map_spec(arg: str) -> dict:
     if path.is_file():
         try:
             spec = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"map spec {arg}: not valid JSON ({exc})")
+        except ValueError as exc:   # not JSON, or not UTF-8 text
+            raise ValidationError(f"map spec {arg}: not valid JSON ({exc})") from None
         if not isinstance(spec, dict):
             raise ValidationError(f"map spec {arg}: expected a JSON object")
         return spec

@@ -173,6 +173,18 @@ def test_zigzag_geodesic_through_collinear_vertices():
                                                         rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-7, 5e-7])
+def test_tiny_zigzag_keeps_its_orientation_and_reflex_corners(scale):
+    # the doubled area 22 scale^2 (at 1e-7) and the reflex turns -2 scale^2
+    # (at both scales) lie within an absolute 1e-12 of zero: only tolerances
+    # relative to the lengths see them
+    dom = PolygonDomain(np.asarray(ZIGZAG) * scale)
+    assert list(dom.reflex_vertices) == [4, 5, 8, 9]
+    p, q = dom.boundary_point(10, 0.5), dom.boundary_point(2, 0.5)
+    assert dom.internal_distance(p, q) == pytest.approx(
+        (3 + 2 * math.sqrt(4.25)) * scale, rel=1e-12)
+
+
 def test_internal_distance_triangle_inequality():
     for verts, arcs in ((L_SHAPE, (0.5, 2.3, 4.1, 6.0, 7.2)),
                         (ZIGZAG, (0.5, 5.5, 8.5, 12.5, 17.5, 21.5))):

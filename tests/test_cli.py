@@ -142,6 +142,10 @@ def test_bad_spec_files(tmp_path, capsys):
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     assert main(["analyze", "--map", str(arr), "--conditions", "iv"]) == 1
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff{}")
+    assert main(["analyze", "--map", str(binary), "--conditions", "iv"]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
     missing = tmp_path / "spec.json"
     missing.write_text('{"kind": "power", "params": {}}')
     assert main(["analyze", "--map", str(missing), "--conditions", "iv"]) == 1

@@ -13,8 +13,9 @@ import circle_energy
 from circle_energy.circle_map import identity_map
 from circle_energy.dyadic import whitney_cell
 from circle_energy.errors import DomainError, ResourceGuardError
-from circle_energy.poisson import (BARRIER, DerivativePair, HarmonicExtension,
-                                   operator_norm)
+from circle_energy.poisson import (BARRIER, DEFAULT_GAUSS, DEFAULT_NODES, GAUSS_RANGE,
+                                   MAX_WHITNEY_J, NODES_RANGE, DerivativePair,
+                                   HarmonicExtension, _ring_rows, operator_norm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,13 +139,19 @@ def test_whitney_field_cache_reused(families):
     assert fresh.energy_i(1.0, J=8).total == a8
 
 
+def _gauss_radii(j, g):
+    """The g Gauss radii of level j, rebuilt from the cell geometry."""
+    gx, _ = np.polynomial.legendre.leggauss(g)
+    c0 = whitney_cell(j, 1)
+    return 0.5 * (c0.r_outer + c0.r_inner) + 0.5 * (c0.r_outer - c0.r_inner) * gx
+
+
 def _whitney_nodes(J, g):
     """Field nodes rebuilt from the cell geometry, in the field's layout."""
     gx, _ = np.polynomial.legendre.leggauss(g)
     nodes = []
     for j in range(1, J + 1):
-        c0 = whitney_cell(j, 1)
-        r = 0.5 * (c0.r_outer + c0.r_inner) + 0.5 * (c0.r_outer - c0.r_inner) * gx
+        r = _gauss_radii(j, g)
         t0 = math.pi / 2 ** j * (gx + 1.0)
         theta = (TWO_PI * np.arange(2 ** j) / 2 ** j)[:, None] + t0[None, :]
         nodes.append((r[None, :] * np.exp(1j * theta.ravel())[:, None]).ravel())
@@ -185,6 +192,31 @@ def test_spectral_field_matches_direct_sum(families, n_boundary, J, gauss_order)
                 want = getattr(oracle, cond)(lam, J=J).per_level
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
                                            err_msg=f"{name} {cond} {lam}")
+
+
+def test_truncated_ring_sums_match_direct_sum(families):
+    # at the fixture config levels 1-6 keep K_j of their L rows (level 1: 31
+    # of 8192); the dropped tail must stay invisible next to the direct sum
+    # at all 16 (2^7 - 2) = 2016 nodes
+    J = 6
+    assert _ring_rows(DEFAULT_NODES, 1, _gauss_radii(1, DEFAULT_GAUSS).max()) <= 64
+    nodes = _whitney_nodes(J, DEFAULT_GAUSS)
+    assert nodes.size == 2016
+    for name, map_ in families.items():
+        ext = HarmonicExtension(map_)
+        direct = operator_norm(*ext._derivative_batch(nodes))
+        np.testing.assert_allclose(_flat_norm(ext._whitney_field(J)), direct,
+                                   rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_ring_row_count_stays_within_the_rows():
+    # every power-of-two N_b, Gauss order and level the guards allow; a
+    # RuntimeWarning from the tail bound would fail the test
+    for e in range(NODES_RANGE[0].bit_length() - 1, NODES_RANGE[1].bit_length()):
+        for g in range(GAUSS_RANGE[0], GAUSS_RANGE[1] + 1):
+            for j in range(1, MAX_WHITNEY_J + 1):
+                kept = _ring_rows(2 ** e, j, _gauss_radii(j, g).max())
+                assert 1 <= kept <= 2 ** max(0, e - j), (e, g, j)   # L = ceil(N_b/2^j)
 
 
 def test_field_bytes_do_not_depend_on_blas_threads():
