@@ -6,15 +6,33 @@ path joining them inside the closed domain; on polygons this geodesic is a
 polyline whose interior corners occur only at reflex vertices.  The polygon
 caches one table of geodesic distances between its reflex vertices.  Many
 pairs cost one visibility test for all chords, one for the blocked chords'
-(endpoint, reflex vertex) segments and a minimum over the table, run in row
-blocks of about 2^17 (segment, edge) entries so memory stays bounded.
+(endpoint, reflex vertex) segments and a minimum over the table.
 
 One rule, `_crossings`, decides simplicity and visibility: segment st
 properly crosses edge vw when [(w-v) x (s-v)] [(w-v) x (t-v)] and
 [(t-s) x (v-s)] [(t-s) x (w-s)] both lie below -1e-12 |w-v|^2 |t-s|^2.  The
 products and the tolerance scale alike, as length^4: the rule is scale-free.
 So are the orientation test, twice the signed area above 1e-12 perimeter^2,
-and the reflex test, turn (e_prev x e) below -1e-12 |e_prev| |e|.
+and the reflex test, turn (e_prev x e) below -1e-12 |e_prev| |e|.  The other
+tolerances are multiples of the length L, the least power of two at or above
+the largest |vertex coordinate| (1 for the unit-radius domains below), so a
+power-of-two scaling scales every answer exactly: points within delta =
+1e-9 L of an edge are on the boundary, chords under delta are not sampled,
+and edges, closing vertices and distances under 1e-12 L are zero.
+
+Each query tests only nearby edges.  The edges form runs of _RUN consecutive
+edges, each with the box of its endpoints.  A segment st (a point is s = t)
+keeps a run when its box, padded by p, meets the run's box and the padded
+box is not strictly on one side of its line.  A proper crossing, a vertex
+within delta of the open segment and a point within delta of an edge all
+put a point of the query within delta of the run's box, so the pad p =
+delta + 64 eps L' (1 + L'/min(|t - s|, shortest edge)), L' the larger of L
+and the query's largest |coordinate|, also covers rounding, down to
+near-parallel pairs whose signs rounding decides.  The ray cast keeps runs
+with y_min <= y < y_max and x < x_max + 64 eps L; no dropped run has an edge
+straddling the ray.  The exact rules then run on the kept (query, edge)
+pairs with the dense arithmetic, so every mask is bit for bit the dense one,
+and row blocks keep the pairs within 2^17.
 
 The chord-arc constant max ell(w1,w2)/|w1-w2| and its internal variant
 max ell(w1,w2)/lambda(w1,w2) are estimated by stratified pair sampling
@@ -35,8 +53,10 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, ValidationError
 
 _EPS = 1e-12
-_ON_BOUNDARY = 1e-9
+_ON_BOUNDARY = 1e-9        # boundary tolerance delta, in units of the length L
 _BLOCK_ENTRIES = 2 ** 17   # (segment, edge) entries per visibility block
+_RUN = 12                  # consecutive edges per culling box
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 def _cross(ux, uy, vx, vy):
@@ -68,18 +88,21 @@ class PolygonDomain:
         if not np.isfinite(verts).all():
             k = int(np.argmin(np.isfinite(verts).all(axis=1)))
             raise ValidationError(f"polygon vertex {k} is not finite: {verts[k].tolist()}")
-        if np.hypot(*(verts[0] - verts[-1])) < _EPS:
+        mant, exp = math.frexp(float(np.abs(verts).max()))
+        self._length = math.ldexp(1.0, exp - (mant == 0.5))   # L of the module docstring
+        self._delta = _ON_BOUNDARY * self._length
+        if np.hypot(*(verts[0] - verts[-1])) < _EPS * self._length:
             verts = verts[:-1]
         self.vertices = verts
         self.n = len(verts)
-        self._next_vertices = np.roll(verts, -1, axis=0)
-        self._edge_vec = e = self._next_vertices - verts
+        nxt = np.roll(verts, -1, axis=0)
+        self._edge_vec = e = nxt - verts
+        self._edge_rows = np.vstack([verts.T, nxt.T, e.T])   # vx, vy, wx, wy, ex, ey
         self.edge_lengths = np.hypot(e[:, 0], e[:, 1])
-        if np.any(self.edge_lengths < _EPS):
+        if np.any(self.edge_lengths < _EPS * self._length):
             raise ValidationError("degenerate (zero-length) polygon edge")
         self.cum_lengths = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
         self.perimeter = float(self.cum_lengths[-1])
-        nxt = self._next_vertices
         area2 = float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
         if area2 <= _EPS * self.perimeter ** 2:
             raise ValidationError("polygon must be counterclockwise (signed area > 0)")
@@ -87,20 +110,54 @@ class PolygonDomain:
         self._check_simple()
 
     def _check_simple(self) -> None:
-        """No two non-adjacent edges properly cross (`_crossings`), over row
-        blocks of at most _BLOCK_ENTRIES (edge, edge) entries; the first
+        """No two non-adjacent edges properly cross (`_crossings`); edges go
+        in row blocks against the edges of nearby runs, and the first
         crossing pair in (i, j) order is reported."""
         n = self.n
         rows = max(1, _BLOCK_ENTRIES // n)
         for start in range(0, n, rows):
-            crossing, _ = self._crossings(self.vertices[start:start + rows],
-                                          self._next_vertices[start:start + rows])
-            crossing = np.triu(crossing, start + 2)   # pairs (i, j) with j >= i + 2
-            crossing[0, n - 1] &= start > 0           # edges 0 and n - 1 are adjacent
+            seg = self._edge_rows[:4, start:start + rows]
+            i, j = self._near_pairs(seg)
+            # pairs (i, j) with j >= i + 2; edges 0 and n - 1 are adjacent
+            keep = (j >= start + i + 2) & ((start + i > 0) | (j < n - 1))
+            i, j = i[keep], j[keep]
+            crossing, _ = self._crossings(seg[:, i], j)
             if crossing.any():
-                i, j = divmod(int(np.argmax(crossing)), n)
-                raise ValidationError(
-                    f"polygon is not simple: edges {start + i} and {j} intersect")
+                first = int(np.argmax(crossing))
+                raise ValidationError(f"polygon is not simple: edges "
+                                      f"{start + i[first]} and {j[first]} intersect")
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(2, n_runs) lower and upper corners of the boxes of the edge runs."""
+        vw, first = self._edge_rows[:4].reshape(2, 2, -1), np.arange(0, self.n, _RUN)
+        return (np.minimum.reduceat(vw.min(axis=0), first, axis=1),
+                np.maximum.reduceat(vw.max(axis=0), first, axis=1))
+
+    def _pairs(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query, edge) index pairs, sorted, over every edge of each run
+        that the (queries, n_runs) mask keep sets for that query."""
+        q, r = np.nonzero(keep)
+        k = (r[:, None] * _RUN + np.arange(_RUN)).ravel()
+        real = k < self.n
+        return np.repeat(q, _RUN)[real], k[real]
+
+    def _near_pairs(self, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_pairs` of the runs within the pad p of the segments (sx, sy, tx,
+        ty) of the (4, rows) seg (module docstring); a point is s = t."""
+        (lx, ly), (ux, uy) = self._runs
+        sx, sy, tx, ty = seg[..., None]
+        gx, gy = tx - sx, ty - sy
+        size = max(self._length, np.abs(seg).max(initial=0.0))
+        glen = np.hypot(gx, gy)
+        short = np.where(glen > 0, np.minimum(glen, self.edge_lengths.min()), np.inf)
+        pad = self._delta + _ROUNDING * size * (1.0 + size / short)
+        ax, ay, hx, hy = np.abs(gx), np.abs(gy), 0.5 * (ux - lx), 0.5 * (uy - ly)
+        dx, dy = 0.5 * (lx + ux) - 0.5 * (sx + tx), 0.5 * (ly + uy) - 0.5 * (sy + ty)
+        keep = np.abs(dx) <= hx + (pad + 0.5 * ax)
+        keep &= np.abs(dy) <= hy + (pad + 0.5 * ay)
+        keep &= np.abs(gx * dy - gy * dx) <= ax * hy + ay * hx + pad * (ax + ay)
+        return self._pairs(keep)
 
     # -- boundary parametrization -----------------------------------------
 
@@ -141,42 +198,42 @@ class PolygonDomain:
         return np.nonzero(turn < -_EPS * scale)[0]
 
     def contains(self, point, include_boundary: bool = True) -> bool:
-        """Even-odd membership; points within 1e-9 of an edge count as boundary."""
-        p = np.asarray(point, dtype=float)
-        if self._distance_to_boundary(p[None, :])[0] < _ON_BOUNDARY:
+        """Even-odd membership; points within 1e-9 L of an edge count as boundary."""
+        p = np.asarray(point, dtype=float)[None, :]
+        if self._near_boundary(p)[0]:
             return include_boundary
-        return bool(self._inside_mask(p[None, :])[0])
+        return bool(self._inside_mask(p)[0])
 
     def _inside_mask(self, pts: np.ndarray) -> np.ndarray:
-        v, w = self.vertices, self._next_vertices
-        y1, y2 = v[:, 1][None, :], w[:, 1][None, :]
-        x1, x2 = v[:, 0][None, :], w[:, 0][None, :]
-        py = pts[:, 1][:, None]
-        px = pts[:, 0][:, None]
+        """Even-odd ray cast towards +x over the runs the module docstring keeps."""
+        (_, ly), (ux, uy) = self._runs
+        px, py = pts.T[..., None]
+        q, k = self._pairs((ly <= py) & (py < uy) & (px < ux + _ROUNDING * self._length))
+        x1, y1, x2, y2 = self._edge_rows[:4, k]
+        px, py = pts[q].T
         straddle = (y1 > py) != (y2 > py)
         with np.errstate(divide="ignore", invalid="ignore"):
             xs = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
         hits = straddle & (px < xs)
-        return (np.count_nonzero(hits, axis=1) % 2) == 1
+        return np.bincount(q[hits], minlength=len(pts)) % 2 == 1
 
-    def _distance_to_boundary(self, pts: np.ndarray) -> np.ndarray:
-        v = self.vertices[None, :, :]
-        e = self._edge_vec[None, :, :]
-        d = pts[:, None, :] - v
-        tt = np.clip(np.sum(d * e, axis=2) / np.sum(e * e, axis=2), 0.0, 1.0)
-        proj = v + tt[:, :, None] * e
-        return np.min(np.hypot(*(pts[:, None, :] - proj).transpose(2, 0, 1)), axis=1)
+    def _near_boundary(self, pts: np.ndarray) -> np.ndarray:
+        """True where a point lies within delta of an edge."""
+        q, k = self._near_pairs(np.vstack([pts.T, pts.T]))
+        vx, vy, _, _, ex, ey = self._edge_rows[:, k]
+        px, py = pts[q].T
+        tt = np.clip(((px - vx) * ex + (py - vy) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+        near = np.hypot(px - (vx + tt * ex), py - (vy + tt * ey)) < self._delta
+        return np.bincount(q[near], minlength=len(pts)) > 0
 
     # -- visibility --------------------------------------------------------
 
-    def _crossings(self, starts: np.ndarray, ends: np.ndarray):
-        """(rows, n) mask of segment r properly crossing edge k (the module
-        docstring's rule), and the products (t - s) x (v - s) of each pair."""
-        vx, vy = self.vertices.T[:, None]
-        wx, wy = self._next_vertices.T[:, None]
-        ex, ey = self._edge_vec.T[:, None]
-        sx, sy = starts.T[:, :, None]
-        tx, ty = ends.T[:, :, None]
+    def _crossings(self, seg: np.ndarray, k: np.ndarray):
+        """Mask of segment r of the (4, m) rows sx, sy, tx, ty properly
+        crossing edge k[r] (the module docstring's rule), and the products
+        (t - s) x (v - s) of each pair."""
+        vx, vy, wx, wy, ex, ey = self._edge_rows[:, k]
+        sx, sy, tx, ty = seg
         gx, gy = tx - sx, ty - sy
         d1 = _cross(ex, ey, sx - vx, sy - vy)
         d2 = _cross(ex, ey, tx - vx, ty - vy)
@@ -191,33 +248,39 @@ class PolygonDomain:
         A segment is admissible iff it properly crosses no edge and the
         midpoint of each piece between the polygon vertices it passes
         through is inside or on the boundary.  Rows are independent, and run
-        in blocks of at most _BLOCK_ENTRIES (segment, edge) entries.
+        in blocks of at most _BLOCK_ENTRIES // n segments against the edges
+        of nearby runs.
         """
         rows = max(1, _BLOCK_ENTRIES // self.n)
         if len(starts) > rows:
             return np.concatenate([self._segments_admissible(starts[i:i + rows], ends[i:i + rows])
                                    for i in range(0, len(starts), rows)])
-        crossing, side = self._crossings(starts, ends)
-        ok = ~crossing.any(axis=1) & self._in_closure(0.5 * (starts + ends))
-        vx, vy = self.vertices.T[:, None]
-        sx, sy = starts.T[:, :, None]
-        gx, gy = (ends - starts).T[:, :, None]
-        # vertices within _ON_BOUNDARY of the open segment; its ends are dropped,
+        seg = np.vstack([starts.T, ends.T])
+        q, k = self._near_pairs(seg)
+        sx, sy, tx, ty = seg = seg[:, q]
+        crossing, side = self._crossings(seg, k)
+        ok = self._in_closure(0.5 * (starts + ends))
+        ok[q[crossing]] = False
+        vx, vy = self._edge_rows[:2, k]
+        gx, gy = tx - sx, ty - sy
+        # vertices within delta of the open segment; its ends are dropped,
         # since every visibility segment ends at a reflex vertex
         gg = gx * gx + gy * gy
         along = (vx - sx) * gx + (vy - sy) * gy
-        tol = _ON_BOUNDARY * np.sqrt(gg)
-        through = (np.abs(side) <= tol) & (along > tol) & (along < gg - tol)
-        for r in np.nonzero(ok & through.any(axis=1))[0]:
-            cut = np.concatenate([[0.0], np.sort(along[r, through[r]]) / gg[r, 0], [1.0]])
-            u = 0.5 * (cut[:-1] + cut[1:])
-            ok[r] = self._in_closure(starts[r] + u[:, None] * (ends[r] - starts[r])).all()
+        tol = self._delta * np.sqrt(gg)
+        hit = np.nonzero((np.abs(side) <= tol) & (along > tol) & (along < gg - tol))[0]
+        for r in np.unique(q[hit]):
+            if ok[r]:
+                mine = hit[q[hit] == r]
+                cut = np.concatenate([[0.0], np.sort(along[mine]) / gg[mine[0]], [1.0]])
+                u = 0.5 * (cut[:-1] + cut[1:])
+                ok[r] = self._in_closure(starts[r] + u[:, None] * (ends[r] - starts[r])).all()
         return ok
 
     def _in_closure(self, pts: np.ndarray) -> np.ndarray:
-        """Inside or within _ON_BOUNDARY of an edge; distances only where outside."""
+        """Inside or within delta of an edge; the delta test only where outside."""
         ok = self._inside_mask(pts)
-        ok[~ok] = self._distance_to_boundary(pts[~ok]) < _ON_BOUNDARY
+        ok[~ok] = self._near_boundary(pts[~ok])
         return ok
 
     @cached_property
@@ -253,7 +316,7 @@ class PolygonDomain:
         """Geodesic distances between the rows of (n, 2) boundary points a, b: the
         chord if admissible, else min over i, k of |a r_i| + D[i, k] + |r_k b|."""
         out = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-        out[out < _EPS] = 0.0
+        out[out < _EPS * self._length] = 0.0
         far = np.nonzero(out)[0]
         blocked = far[~self._segments_admissible(a[far], b[far])]
         if blocked.size == 0:
@@ -313,14 +376,14 @@ class PairSampler:
 def _ratio_max(P: PolygonDomain, sampler: PairSampler, internal: bool) -> float:
     (a, pos_a), (b, pos_b) = (P.points_at_arclength(s) for s in sampler.arclengths(P))
     chord = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-    keep = chord >= 1e-9
+    keep = chord >= P._delta
     usable = int(np.count_nonzero(keep))
     if usable < 1000:
         raise InsufficientDataError(
             f"sampler produced only {usable} usable pairs (need >= 1000)")
     d = np.abs(pos_a[keep] - pos_b[keep])
     ell = np.minimum(d, P.perimeter - d)
-    # every kept chord is >= 1e-9 and an internal distance is at least its chord
+    # every kept chord is >= delta and an internal distance is at least its chord
     denom = P.internal_distances(a[keep], b[keep]) if internal else chord[keep]
     return float(np.max(ell / denom))
 
@@ -382,22 +445,26 @@ def cusp_domain(resolution: int = 64) -> PolygonDomain:
 
 def save_vertices(P: PolygonDomain, path) -> None:
     """One "x y" pair per line; the polygon closes implicitly."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for x, y in P.vertices:
             fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
 def load_vertices(path) -> PolygonDomain:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"vertex file {path}: not UTF-8 text ({exc})") from None
     rows = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                x, y = map(float, line.split())
-            except ValueError:
-                raise ValidationError(
-                    f"line {number}: expected 'x y' numbers, got {line!r}") from None
-            rows.append((x, y))
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            x, y = map(float, line.split())
+        except ValueError:
+            raise ValidationError(
+                f"line {number}: expected 'x y' numbers, got {line!r}") from None
+        rows.append((x, y))
     return PolygonDomain(np.asarray(rows))

@@ -77,6 +77,128 @@ def _reference_constant(dom, sampler, internal):
     return best
 
 
+# -- dense references: every query against every polygon edge ---------------------
+
+def _dense_crossings(dom, starts, ends):
+    """(rows, n) proper-crossing mask and products (t - s) x (v - s)."""
+    vx, vy, wx, wy, ex, ey = dom._edge_rows[:, None, :]
+    sx, sy = starts.T[:, :, None]
+    tx, ty = ends.T[:, :, None]
+    gx, gy = tx - sx, ty - sy
+    d1 = chordarc._cross(ex, ey, sx - vx, sy - vy)
+    d2 = chordarc._cross(ex, ey, tx - vx, ty - vy)
+    d3 = chordarc._cross(gx, gy, vx - sx, vy - sy)
+    d4 = chordarc._cross(gx, gy, wx - sx, wy - sy)
+    tol = -1e-12 * ((ex * ex + ey * ey) * (gx * gx + gy * gy))
+    return (d1 * d2 < tol) & (d3 * d4 < tol), d3
+
+
+def _dense_inside(dom, pts):
+    """Even-odd ray cast towards +x over every edge."""
+    x1, y1, x2, y2 = dom._edge_rows[:4, None, :]
+    px, py = pts.T[:, :, None]
+    straddle = (y1 > py) != (y2 > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+    return np.count_nonzero(straddle & (px < xs), axis=1) % 2 == 1
+
+
+def _dense_near(dom, pts):
+    """Distance to every edge, below the boundary tolerance."""
+    v, e = dom.vertices[None], dom._edge_vec[None]
+    d = pts[:, None, :] - v
+    tt = np.clip(np.sum(d * e, axis=2) / np.sum(e * e, axis=2), 0.0, 1.0)
+    proj = v + tt[:, :, None] * e
+    return np.min(np.hypot(*(pts[:, None, :] - proj).transpose(2, 0, 1)), axis=1) < dom._delta
+
+
+def _dense_admissible(dom, starts, ends):
+    """No proper crossing, and every piece between through-vertices has its
+    midpoint inside or near the boundary."""
+    def closure(pts):
+        return _dense_inside(dom, pts) | _dense_near(dom, pts)
+    crossing, side = _dense_crossings(dom, starts, ends)
+    ok = ~crossing.any(axis=1) & closure(0.5 * (starts + ends))
+    vx, vy = dom.vertices.T[:, None]
+    sx, sy = starts.T[:, :, None]
+    gx, gy = (ends - starts).T[:, :, None]
+    gg = gx * gx + gy * gy
+    along = (vx - sx) * gx + (vy - sy) * gy
+    tol = dom._delta * np.sqrt(gg)
+    through = (np.abs(side) <= tol) & (along > tol) & (along < gg - tol)
+    for r in np.nonzero(ok & through.any(axis=1))[0]:
+        cut = np.concatenate([[0.0], np.sort(along[r, through[r]]) / gg[r, 0], [1.0]])
+        u = 0.5 * (cut[:-1] + cut[1:])
+        ok[r] = closure(starts[r] + u[:, None] * (ends[r] - starts[r])).all()
+    return ok
+
+
+def _probe_queries(dom, rng):
+    """Segments (starts, ends) and points that meet every rule at its tolerance."""
+    n, v, e, delta = dom.n, dom.vertices, dom._edge_vec, dom._delta
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / dom.edge_lengths[:, None]
+    a, _ = dom.points_at_arclength(rng.uniform(0, dom.perimeter, 300))
+    b, _ = dom.points_at_arclength(rng.uniform(0, dom.perimeter, 300))
+    i, j = rng.integers(0, n, (2, 200))
+    refl = np.repeat(dom.reflex_vertices, 40)[:300]
+    far = rng.integers(0, n, len(refl))
+    k = rng.integers(0, n, 100)                       # along the line of an edge
+    m = rng.integers(0, n, 200)                       # grazing a vertex
+    ang = rng.uniform(0, 2 * math.pi, 200)
+    u = np.column_stack([np.cos(ang), np.sin(ang)])
+    d = u * dom.edge_lengths[m, None]
+    off = rng.choice([-2.0, -0.5, 0.5, 2.0], 200)[:, None] * delta * u[:, ::-1] * [1, -1]
+    starts = np.vstack([a, v[i], v[refl], a[:len(refl)], v[k] - 0.5 * e[k], v[m] + off - d])
+    ends = np.vstack([b, v[j], v[far], v[refl], v[k] + 1.5 * e[k], v[m] + off + d])
+    h = rng.integers(0, n, 300)                       # points at 0.5 and 2 delta off edges
+    side = rng.choice([-2.0, -0.5, 0.5, 2.0], 300)[:, None] * delta
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    pts = np.vstack([v[h] + rng.uniform(0, 1, 300)[:, None] * e[h] + side * normal[h],
+                     v + rng.uniform(-1, 1, v.shape) * delta,
+                     v + rng.uniform(-1, 1, v.shape) * 1e-9 * dom._length,
+                     np.column_stack([rng.uniform(lo[0], hi[0], n), v[:, 1]]),  # rays through vertices
+                     lo + rng.uniform(0, 1, (300, 2)) * (hi - lo)])
+    return starts, ends, pts
+
+
+def _in_rows(rule, *arrays, rows=64):
+    return np.concatenate([rule(*(x[r:r + rows] for x in arrays))
+                           for r in range(0, len(arrays[0]), rows)])
+
+
+PROBE_DOMAINS = {"gon256": lambda: regular_polygon(256).vertices,
+                 "cusp64": lambda: cusp_domain(64).vertices,
+                 "cusp256": lambda: cusp_domain(256).vertices,
+                 "comb": lambda: np.asarray(COMB, dtype=float),
+                 "zigzag": lambda: np.asarray(ZIGZAG, dtype=float)}
+
+
+@pytest.mark.parametrize("scale, shift", [(1e-4, 0.0), (1.0, 0.0), (1e4, 0.0),
+                                          (1.0, np.array([1e3, -1e3]))])
+@pytest.mark.parametrize("name", sorted(PROBE_DOMAINS))
+def test_culled_rules_equal_dense_reference(name, scale, shift):
+    dom = PolygonDomain(PROBE_DOMAINS[name]() * scale + shift)
+    starts, ends, pts = _probe_queries(dom, np.random.default_rng(7))
+    adm = dom._segments_admissible(starts, ends)
+    assert adm.tolist() == _in_rows(lambda s, t: _dense_admissible(dom, s, t),
+                                    starts, ends).tolist()
+    inside, near = dom._inside_mask(pts), dom._near_boundary(pts)
+    assert inside.tolist() == _in_rows(lambda p: _dense_inside(dom, p), pts).tolist()
+    assert near.tolist() == _in_rows(lambda p: _dense_near(dom, p), pts).tolist()
+    for mask in (adm, inside, near):                  # both answers are probed
+        assert 0 < np.count_nonzero(mask) < len(mask)
+
+
+def test_random_chords_test_few_edges():
+    # a random chord of the 1024-gon meets the runs around its two ends only
+    dom = regular_polygon(1024)
+    rng = np.random.default_rng(5)
+    a, _ = dom.points_at_arclength(rng.uniform(0, dom.perimeter, 128))
+    b, _ = dom.points_at_arclength(rng.uniform(0, dom.perimeter, 128))
+    q, _ = dom._near_pairs(np.vstack([a.T, b.T]))
+    assert len(q) < 0.1 * len(a) * dom.n
+
+
 # -- polygon basics -------------------------------------------------------------
 
 def test_square_metrics():
@@ -183,6 +305,29 @@ def test_tiny_zigzag_keeps_its_orientation_and_reflex_corners(scale):
     p, q = dom.boundary_point(10, 0.5), dom.boundary_point(2, 0.5)
     assert dom.internal_distance(p, q) == pytest.approx(
         (3 + 2 * math.sqrt(4.25)) * scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-10])
+def test_tiny_zigzag_keeps_its_notches(scale):
+    # an absolute 1e-9 boundary tolerance made every point of this polygon a
+    # boundary point: the chord across both notches was taken as the geodesic
+    dom = PolygonDomain(np.asarray(ZIGZAG) * scale)
+    p, q = dom.boundary_point(10, 0.5), dom.boundary_point(2, 0.5)
+    assert dom.internal_distance(p, q) == pytest.approx(
+        (3 + 2 * math.sqrt(4.25)) * scale, rel=1e-12)
+    assert not dom.contains((1.5 * scale, 2 * scale))     # in a notch
+    assert dom.contains((1.5 * scale, 0.5 * scale), include_boundary=False)
+    assert dom.contains((2.5 * scale, 2 * scale), include_boundary=False)  # between notches
+    assert dom.contains((1.5 * scale, 1 * scale))         # on the notch floor
+    assert not dom.contains((1.5 * scale, 1 * scale), include_boundary=False)
+
+
+def test_tiny_polygon_constants_equal_unit_ones():
+    # an absolute 1e-9 chord floor dropped every pair of a polygon this small
+    tiny, unit = regular_polygon(64, 1e-10), regular_polygon(64)
+    assert chordarc_constant(tiny) == pytest.approx(chordarc_constant(unit), rel=1e-12)
+    assert internal_chordarc_constant(tiny) == pytest.approx(
+        internal_chordarc_constant(unit), rel=1e-12)
 
 
 def test_internal_distance_triangle_inequality():
@@ -344,6 +489,29 @@ def test_cusp_contrast_between_constants():
     assert ic == pytest.approx(3.509017108299031, rel=1e-9)
 
 
+def test_cusp256_constants_frozen():
+    # 2122 edges: the cusp's runs cull most of every visibility test
+    dom = cusp_domain(256)
+    assert chordarc_constant(dom) == 256.0019531175495
+    assert internal_chordarc_constant(dom) == 3.5089533778967885
+
+
+def test_cusp256_distances_memory_is_bounded():
+    # every (pair, edge) entry at once peaked at 7.8 MB for these 2^14 pairs
+    dom = cusp_domain(256)
+    s = np.random.default_rng(4).uniform(0, dom.perimeter, (2, 2 ** 14))
+    a, _ = dom.points_at_arclength(s[0])
+    b, _ = dom.points_at_arclength(s[1])
+    tracemalloc.start()
+    try:
+        d = dom.internal_distances(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(d >= np.hypot(*(a - b).T))
+    assert peak <= 4 * 2 ** 20
+
+
 def test_cusp_resolution_guard():
     with pytest.raises(DomainError):
         cusp_domain(8)
@@ -422,6 +590,13 @@ def test_simplicity_check_memory_is_blocked():
         tracemalloc.stop()
     assert dom.n > 2000
     assert peak <= 64 * 2 ** 20
+
+
+def test_vertex_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe0\x00 \x000\x00\n\x00")
+    with pytest.raises(ValidationError, match="utf16.txt: not UTF-8"):
+        load_vertices(path)
 
 
 def test_vertex_file_skips_comments(tmp_path):
