@@ -8,15 +8,18 @@ cyclic mod 2**j.  Adjacent arcs share exactly one endpoint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .circle_map import TWO_PI
 from .errors import DomainError, check_level
 
 MAX_LEVEL = 30          # arcs_at_level guard: 2**30 arcs is already absurd
 MAX_SEED_LEVEL = 24     # annular decompositions stay cheap well past this
-MAX_INDUCER_LEVEL = 16  # inducer enumeration is exponential in the level
+MAX_INDUCER_LEVEL = 16  # output size: < 2**17 Whitney cells, or inducer_counts keys per seed level
 
 
 @dataclass(frozen=True, order=True)
@@ -178,6 +181,29 @@ class AnnularDecomposition:
         return sum(a.width for a in self.members)
 
 
+def _decomposition_steps(j: int, seeds: np.ndarray):
+    """`annular_decomposition`'s rule over an int64 array of 0-based level-j
+    seed positions.  Yields (n, positions, optional, add) per member choice in
+    `members` order: the level-n positions (mod 2**n) the choice would add,
+    its optional flag, and the mask of the seeds that take them."""
+    # covered level-n arcs are the positions [lo, hi), taken cyclically mod 2**n;
+    # each level ends on the parent grid (even positions) until the cover closes
+    lo = seeds & ~1
+    hi = lo + 2
+    yield j, seeds, False, np.ones(seeds.shape, dtype=bool)
+    yield j, seeds ^ 1, False, np.ones(seeds.shape, dtype=bool)
+    for n in range(j - 1, 0, -1):
+        lo, hi, size = lo // 2, hi // 2, 2 ** n
+        gap, added = size - (hi - lo), []
+        if not gap.any():
+            break
+        for q, optional, wanted in ((hi, False, True), (hi + 1, True, hi % 2 == 0),
+                                    (lo - 1, False, True), (lo - 2, True, lo % 2 == 0)):
+            added.append(wanted & (sum(added) < gap))
+            yield n, q % size, optional, added[-1]
+        hi, lo = hi + added[0] + added[1], lo - added[2] - added[3]
+
+
 def annular_decomposition(seed: DyadicArc) -> AnnularDecomposition:
     """Decompose the circle around `seed` into its brother and coarser arcs.
 
@@ -187,58 +213,34 @@ def annular_decomposition(seed: DyadicArc) -> AnnularDecomposition:
     that mandatory arc's sibling lies further out on the same side - the
     sibling, which lands the front on the level-(n-1) grid.  The recursion
     stops once the two fronts meet; an arc is never added beyond the
-    remaining uncovered gap, so the result is an exact cover.
+    remaining uncovered gap, so the result is an exact cover.  The rule runs
+    over an array of seeds (`_decomposition_steps`); this is its one-seed case.
     """
     j = seed.level
     check_level(j, MAX_SEED_LEVEL, minimum=2, what="seed level")
-
-    brother = seed.brother()
-    members: list[DyadicArc] = [seed, brother]
-    flags: dict[DyadicArc, bool] = {seed: False, brother: False}
-
-    # covered level-n arcs are the positions [lo, hi), taken cyclically mod 2**n;
-    # each level ends on the parent grid (even positions) until the cover closes
-    lo = min(seed.index, brother.index) - 1
-    hi = lo + 2
-    terminal = j
-    for n in range(j - 1, 0, -1):
-        lo, hi, size = lo // 2, hi // 2, 2 ** n
-        if hi - lo == size:
-            break
-        terminal = n
-        for step in (1, -1):
-            p = hi if step == 1 else lo - 1
-            for q in (p, p ^ 1) if p ^ 1 == p + step else (p,):
-                if hi - lo == size:
-                    break
-                arc = DyadicArc(n, q % size + 1)
-                members.append(arc)
-                flags[arc] = q != p
-                lo, hi = (lo, q + 1) if step == 1 else (q, hi)
-
-    return AnnularDecomposition(
-        seed=seed,
-        members=tuple(members),
-        optional_flags=flags,
-        terminal_level=terminal,
-    )
+    chosen = [(DyadicArc(n, int(q[0]) + 1), optional) for n, q, optional, add
+              in _decomposition_steps(j, np.array([seed.index - 1])) if add[0]]
+    return AnnularDecomposition(seed=seed, members=tuple(arc for arc, _ in chosen),
+                                optional_flags=dict(chosen), terminal_level=chosen[-1][0].level)
 
 
 def inducer_counts(max_target_level: int, max_seed_level: int) -> dict[tuple[int, int, int], int]:
     """Count, per seed level j, how many seeds' decompositions contain each arc.
 
     Returns {(j, n, m): count} where (n, m) identifies the target arc and j
-    the seed level.  Enumerates every seed of level 2..max_seed_level once.
+    the seed level.  The rule runs over all 2**j seeds of each level
+    j = 2..max_seed_level at once, with one bincount per (j, n).
     """
     check_level(max_target_level, MAX_INDUCER_LEVEL)
     check_level(max_seed_level, MAX_INDUCER_LEVEL, minimum=2)
     counts: dict[tuple[int, int, int], int] = {}
     for j in range(2, max_seed_level + 1):
-        for seed in arcs_at_level(j):
-            for arc in annular_decomposition(seed).members:
-                if arc.level <= max_target_level:
-                    key = (j, arc.level, arc.index)
-                    counts[key] = counts.get(key, 0) + 1
+        steps = _decomposition_steps(j, np.arange(2 ** j))
+        for n, group in itertools.groupby(steps, key=lambda step: step[0]):
+            if n <= max_target_level:
+                c = np.bincount(np.concatenate([q[add] for _, q, _, add in group]),
+                                minlength=2 ** n)
+                counts.update(((j, n, m + 1), c[m].item()) for m in np.flatnonzero(c).tolist())
     return counts
 
 
@@ -247,4 +249,6 @@ def inducers(target: DyadicArc, j: int) -> list[DyadicArc]:
     check_level(j, MAX_INDUCER_LEVEL, minimum=2)
     if j < target.level:
         raise DomainError("seed level must be >= target level")
-    return [seed for seed in arcs_at_level(j) if target in annular_decomposition(seed).members]
+    hit = sum(add & (q == target.index - 1) for n, q, _, add
+              in _decomposition_steps(j, np.arange(2 ** j)) if n == target.level)
+    return [DyadicArc(j, k + 1) for k in np.flatnonzero(hit).tolist()]

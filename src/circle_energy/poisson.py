@@ -12,12 +12,15 @@ finite differences of `extend`.
 Two evaluators compute the same midpoint-rule derivatives.  Points off the
 Whitney grid (`derivative`, `dump_derivative_raster`,
 `orlicz.field_from_extension`) go through `_derivative_batch`, a direct
-O(N_b) kernel sum per point that the tests also use as the oracle.  The
-Whitney field goes through a spectral ring evaluation: the midpoint nodes
-are the roots of zeta^N = -1 (N = N_b), so for psi = phi the z-derivative is
-the power series sum_n (n+1) b_n z^n with anti-periodic coefficients
-b_{n+N} = -b_n, b_q = e^{-i pi q/N} FFT(psi zeta^-1 / N)[q], and summing the
-periods in closed form gives, with w = z^N,
+O(N_b) kernel sum per point that the tests also use as the oracle: it forms
+k = zeta/(z-zeta)^2 once, and the real product of k's (2, N_b) view with
+phi's (N_b, 2) view gives s = sum k Re(phi), t = sum k Im(phi), h_z = s + i t
+and h_zbar = conj(s - i t).  The Whitney field goes through a spectral ring
+evaluation: the midpoint nodes are the roots of zeta^N = -1 (N = N_b), so for
+psi = phi the z-derivative is the power series sum_n (n+1) b_n z^n with
+anti-periodic coefficients b_{n+N} = -b_n, b_q = e^{-i pi q/N}
+FFT(psi zeta^-1 / N)[q], and summing the periods in closed form gives, with
+w = z^N,
 
     h_z = A/(1+w) - N w B/(1+w)^2,   A = sum_{q<N} (q+1) b_q z^q,
                                       B = sum_{q<N} b_q z^q.
@@ -132,8 +135,9 @@ class HarmonicExtension:
     def extend(self, z: complex) -> complex:
         """h(z) for |z| <= 1 - 2^-20."""
         z = self._check_point(z)
-        ker = (1.0 - abs(z) ** 2) / np.abs(z - self._zeta) ** 2
-        return complex(np.dot(ker, self._phi) * (self._dtheta / TWO_PI))
+        d = (z - self._zeta).view(float).reshape(-1, 2)   # rows Re, Im of z - zeta
+        ker = (1.0 - abs(z) ** 2) / (np.square(d, out=d) @ (1.0, 1.0))
+        return complex(*(ker @ self._phi.view(float).reshape(-1, 2))) * (self._dtheta / TWO_PI)
 
     def derivative(self, z: complex) -> DerivativePair:
         z = self._check_point(z)
@@ -148,18 +152,19 @@ class HarmonicExtension:
     # -- batched kernel ----------------------------------------------------
 
     def _derivative_batch(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Direct kernel sums (h_zbar as conj(sum zeta conj(phi)/(z - zeta)^2)),
-        in chunks of at most _CHUNK_ENTRIES matrix entries."""
-        cz, czb = self._zeta * self._phi, self._zeta * np.conj(self._phi)
-        hz, hzb = np.empty(len(zs), dtype=complex), np.empty(len(zs), dtype=complex)
-        chunk = max(1, _CHUNK_ENTRIES // self.n_boundary)
+        """Direct kernel sums with k = zeta/(z - zeta)^2 (module docstring),
+        formed chunk by chunk in one buffer of at most _CHUNK_ENTRIES entries."""
+        phi = self._phi.view(float).reshape(-1, 2)
+        sums = np.empty((len(zs), 2, 2))   # [:, a, b] = sum (Re k, Im k)[a] (Re phi, Im phi)[b]
+        chunk = max(1, min(len(zs), _CHUNK_ENTRIES // self.n_boundary))
+        buf = np.empty((chunk, self.n_boundary), dtype=complex)
         for i in range(0, len(zs), chunk):
-            inv2 = zs[i:i + chunk, None] - self._zeta
-            np.reciprocal(np.square(inv2, out=inv2), out=inv2)
-            hz[i:i + chunk] = inv2 @ cz
-            hzb[i:i + chunk] = inv2 @ czb
+            k = np.subtract(zs[i:i + chunk, None], self._zeta, out=buf[:len(zs) - i])
+            np.divide(self._zeta, np.square(k, out=k), out=k)
+            sums[i:i + chunk] = k.view(float).reshape(len(k), -1, 2).transpose(0, 2, 1) @ phi
+        s, t = (sums[:, 0] + 1j * sums[:, 1]).T   # sum k Re(phi), sum k Im(phi)
         scale = self._dtheta / TWO_PI
-        return hz * scale, np.conj(hzb) * scale
+        return (s + 1j * t) * scale, np.conj(s - 1j * t) * scale
 
     # -- Whitney-grid derivative field ------------------------------------
 

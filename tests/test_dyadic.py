@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -180,6 +181,59 @@ def test_annular_decomposition_levels_descend(j, data):
     assert max(levels) == j
     assert min(levels) == dec.terminal_level
     assert levels == set(range(dec.terminal_level, j + 1))
+
+
+def _reference_decomposition(seed):
+    """(members, optional flags, terminal level) by a scalar loop over
+    DyadicArc objects: the reference for the rule run over arrays of seeds."""
+    j = seed.level
+    brother = seed.brother()
+    members, flags = [seed, brother], [False, False]
+    lo = min(seed.index, brother.index) - 1
+    hi = lo + 2
+    terminal = j
+    for n in range(j - 1, 0, -1):
+        lo, hi, size = lo // 2, hi // 2, 2 ** n
+        if hi - lo == size:
+            break
+        terminal = n
+        for step in (1, -1):
+            p = hi if step == 1 else lo - 1
+            for q in (p, p ^ 1) if p ^ 1 == p + step else (p,):
+                if hi - lo == size:
+                    break
+                members.append(DyadicArc(n, q % size + 1))
+                flags.append(q != p)
+                lo, hi = (lo, q + 1) if step == 1 else (q, hi)
+    return members, flags, terminal
+
+
+@pytest.fixture(scope="module")
+def reference_decompositions():
+    """{seed: reference decomposition} for every seed of levels 2..12."""
+    return {seed: _reference_decomposition(seed)
+            for j in range(2, 13) for seed in arcs_at_level(j)}
+
+
+def test_annular_decomposition_matches_the_reference_loop(reference_decompositions):
+    for seed, (members, flags, terminal) in reference_decompositions.items():
+        dec = annular_decomposition(seed)
+        assert list(dec.members) == members, seed
+        assert [dec.optional_flags[a] for a in dec.members] == flags, seed
+        assert dec.terminal_level == terminal, seed
+
+
+def test_inducers_match_the_reference_loop(reference_decompositions):
+    want = Counter((seed.level, a.level, a.index)
+                   for seed, (members, _, _) in reference_decompositions.items()
+                   for a in members if a.level <= 6)
+    assert inducer_counts(6, 12) == dict(want)
+    for j in (2, 5, 9, 12):
+        targets = [a for n in range(1, min(j, 3) + 1) for a in arcs_at_level(n)]
+        for target in targets + [DyadicArc(j, 3)]:
+            listed = [seed for seed in arcs_at_level(j)
+                      if target in reference_decompositions[seed][0]]
+            assert inducers(target, j) == listed, (target, j)
 
 
 def test_annular_decomposition_guards():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import circle_energy
+import circle_energy.poisson as poisson
 from circle_energy.circle_map import identity_map
 from circle_energy.dyadic import whitney_cell
 from circle_energy.errors import DomainError, ResourceGuardError
@@ -83,6 +84,43 @@ def test_kernel_derivatives_match_finite_differences(families, sample_points):
             fd = ext.fd_derivative(complex(z), step=1e-5)
             assert abs(d.h_z - fd.h_z) < 1e-8, name
             assert abs(d.h_zbar - fd.h_zbar) < 1e-8, name
+
+
+def _reference_derivatives(ext, zs):
+    """The kernel sums as two complex products with the columns zeta phi and
+    zeta conj(phi): a second route to `_derivative_batch`'s one real product."""
+    inv2 = 1.0 / (zs[:, None] - ext._zeta) ** 2
+    scale = ext._dtheta / TWO_PI
+    return ((inv2 @ (ext._zeta * ext._phi)) * scale,
+            np.conj(inv2 @ (ext._zeta * np.conj(ext._phi))) * scale)
+
+
+def _reference_extend(ext, z):
+    """h(z) with the kernel through complex abs and a complex dot product."""
+    ker = (1.0 - abs(z) ** 2) / np.abs(z - ext._zeta) ** 2
+    return complex(np.dot(ker, ext._phi) * (ext._dtheta / TWO_PI))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])   # rows per chunk; None: default
+def test_point_kernels_match_the_reference_sums(families, monkeypatch, rows):
+    rng = np.random.default_rng(11)
+    radii = np.concatenate([[0.0, 0.5, 0.9, 0.99, 1.0 - 2.0 ** -10, BARRIER],
+                            BARRIER * rng.uniform(0.0, 1.0, 10) ** 0.1])
+    zs = radii * np.exp(1j * rng.uniform(0.0, TWO_PI, radii.size))
+    for name, map_ in families.items():
+        ext = HarmonicExtension(map_)
+        if rows is not None:
+            monkeypatch.setattr(poisson, "_CHUNK_ENTRIES", rows * ext.n_boundary)
+        want_z, want_zbar = _reference_derivatives(ext, zs)
+        scale = np.maximum(1.0, np.abs(want_z))
+        got_z, got_zbar = ext._derivative_batch(zs)
+        assert np.all(np.abs(got_z - want_z) <= 1e-12 * scale), name
+        assert np.all(np.abs(got_zbar - want_zbar) <= 1e-12 * scale), name
+        for z, hz, hzb, s in zip(zs[::4], want_z[::4], want_zbar[::4], scale[::4]):
+            d = ext.derivative(z)
+            assert abs(d.h_z - hz) <= 1e-12 * s and abs(d.h_zbar - hzb) <= 1e-12 * s, name
+            h = _reference_extend(ext, z)
+            assert abs(ext.extend(z) - h) <= 1e-12 * max(1.0, abs(h)), name
 
 
 def test_derivative_bound_dominates(families, sample_points):
